@@ -192,6 +192,9 @@ def _resolve_seed(args) -> int:
 
 
 def _build_family(args) -> IsoPolynomial:
+    # Every family command samples; zero samples would pass vacuously.
+    if args.samples < 1:
+        raise ConstructionError(f"--samples must be at least 1, got {args.samples}")
     if args.family == "cartan":
         if args.m is None:
             raise ConstructionError("cartan needs --m (1, 2, 4 or 8)")
@@ -571,31 +574,22 @@ def cmd_spectrum(args) -> int:
         samples=args.samples,
     )
 
-    worst = 0.0
-    flips = 0
-    for x in regular_sphere_points(fam, args.samples, seed):
-        y = level_project(fam, x, level).point
-        check = munzner_check(frame_at(fam, y), fam.g, fam.m1, fam.m2)
-        worst = max(worst, check.max_deviation)
-        flips += int(check.orientation_flipped)
+    checks = [
+        munzner_check(
+            frame_at(fam, level_project(fam, x, level).point),
+            fam.g, fam.m1, fam.m2,
+        )
+        for x in regular_sphere_points(fam, args.samples, seed)
+    ]
     report.add(
-        "spectrum-match", worst, TOL_SPECTRUM,
+        "spectrum-match", max(c.max_deviation for c in checks), TOL_SPECTRUM,
         "shape operator eigenvalues vs the cotangent-shift prediction",
     )
     report.add(
-        "orientation-flips", float(flips), 0.0,
+        "orientation-flips", float(sum(c.orientation_flipped for c in checks)), 0.0,
         "count of points matching only after a global sign flip",
     )
-    expected = [
-        float(v)
-        for v in munzner_check(
-            frame_at(fam, level_project(
-                fam, regular_sphere_points(fam, 1, seed)[0], level
-            ).point),
-            fam.g, fam.m1, fam.m2,
-        ).expected
-    ]
-    report.extra["expected_values"] = expected
+    report.extra["expected_values"] = [float(v) for v in checks[0].expected]
 
     if args.csv:
         path = f"{args.csv}-recurrence.csv"

@@ -5,14 +5,6 @@ class IsoparError(Exception):
     """Base class for failures with a geometric or numerical meaning."""
 
 
-class ConvergenceError(IsoparError):
-    """Iterative solver ran out of budget; carries the remaining residual."""
-
-    def __init__(self, message, off_diagonal=None):
-        super().__init__(message)
-        self.off_diagonal = off_diagonal
-
-
 class ConditioningError(IsoparError):
     """Input too ill-conditioned to solve reliably; carries the bad gap."""
 
@@ -42,7 +34,7 @@ class FocalPointError(IsoparError):
 
 
 class ProjectionError(IsoparError):
-    """Level projection failed to bracket or verify its root."""
+    """Level projection missed its target level or left the normal arc."""
 
 
 class InvarianceError(IsoparError):

@@ -29,7 +29,7 @@ from .spherelevel import (
     orthonormal_complement,
     regular_sphere_points,
 )
-from .symmat import CLUSTER_TOL, SymmetricMatrix, eigh_jacobi, vandermonde_solve
+from .symmat import CLUSTER_TOL, SymmetricMatrix, eigh, vandermonde_solve
 
 INVARIANCE_TOL = 1e-9
 CONTEXT_CHECK_SAMPLES = 50
@@ -265,7 +265,7 @@ def phi_decomposition(ctx: HopfContext, x) -> HopfDecomposition:
     P = ctx.P
     x = np.asarray(x, dtype=float)
     frame = frame_at(P, x)
-    w, vecs = eigh_jacobi(frame.shape.entries)
+    w, vecs = eigh(frame.shape.entries)
     groups = []
     start = 0
     for i in range(1, len(w) + 1):

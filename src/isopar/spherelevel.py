@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import FocalPointError, ProjectionError
 from .polyfam import IsoPolynomial, eval_F, eval_grad, eval_hessian, profile_of
@@ -22,6 +21,7 @@ from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 FD_STEP = 1e-4  # central-difference step for the t-recurrences
 MATCH_TOL = 1e-6
+PROJECTION_TOL = 1e-10  # level and path gates of level_project
 
 
 def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
@@ -361,12 +361,22 @@ class LevelProjection:
     path_residual: float
 
 
+def landing_arc(tau0: float, t_target: float, g: int) -> float:
+    """Arc s on the normal great circle where cos(g (tau0 - s)) = t_target,
+    taken on the monotone branch g (tau0 - s) in (0, pi)."""
+    return tau0 - np.arccos(t_target) / g
+
+
+# bench/spans.py traces the arc step under this name.
+brentq = landing_arc
+
+
 def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
     """Move x along its normal great circle to the level F = t_target.
 
-    Root-finds F(cos s x + sin s nu) = t_target with Brent's method on the
-    monotone arc, then verifies the landing level and, at 20 intermediate
-    arcs, that the whole path follows cos(g (tau0 - s)).
+    F(cos s x + sin s nu) = cos(g (tau0 - s)) on the normal arc, so the
+    landing arc is closed form. Both the landing level and, at 20
+    intermediate arcs, the whole path are then verified through eval_F.
     """
     x = np.asarray(x, dtype=float)
     if abs(t_target) > 1.0 - EPS_FOCAL:
@@ -385,17 +395,11 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
         y = np.cos(s) * x + np.sin(s) * nu
         return eval_F(P, y)
 
-    lo = tau0 - np.pi / P.g + 1e-9
-    hi = tau0 - 1e-9
-    if (along(lo) - t_target) * (along(hi) - t_target) > 0.0:
-        raise ProjectionError(
-            f"level {t_target} not bracketed on the normal arc from f = {f0:.6f}"
-        )
-    arc = brentq(lambda s: along(s) - t_target, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    arc = landing_arc(tau0, t_target, P.g)
     y = np.cos(arc) * x + np.sin(arc) * nu
     y /= np.linalg.norm(y)
     level_residual = abs(eval_F(P, y) - t_target)
-    if level_residual > 1e-10:
+    if level_residual > PROJECTION_TOL:
         raise ProjectionError(
             f"projected level misses target by {level_residual:.3e}"
         )
@@ -403,6 +407,10 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
     for s in np.linspace(min(0.0, arc), max(0.0, arc), 20):
         predicted = np.cos(P.g * (tau0 - s))
         path_residual = max(path_residual, abs(along(s) - predicted))
+    if path_residual > PROJECTION_TOL:
+        raise ProjectionError(
+            f"normal arc leaves cos(g (tau0 - s)) by {path_residual:.3e}"
+        )
     return LevelProjection(
         point=y, arc=float(arc),
         level_residual=float(level_residual), path_residual=float(path_residual),

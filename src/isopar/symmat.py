@@ -1,10 +1,10 @@
 """Symmetric-matrix kernel.
 
 Elementary symmetric functions sigma_k and power sums rho_k of a spectrum,
-Newton's identities in both directions, a cyclic Jacobi eigensolver, spectrum
-recovery from moments via a companion matrix, and a Bjorck-Pereyra solver for
-dual Vandermonde systems. Everything downstream (level-set invariants, shape
-operators, trace recurrences) reduces to these primitives.
+Newton's identities in both directions, one dense eigensolver (LAPACK),
+spectrum recovery from moments via a companion matrix, and a Bjorck-Pereyra
+solver for dual Vandermonde systems. Everything downstream (level-set
+invariants, shape operators, trace recurrences) reduces to these primitives.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError, IllPosedMomentsError
+from .errors import ConditioningError, IllPosedMomentsError
 
 # Eigenvalue grouping scale; far below the curvature gaps that occur on
 # regular level sets, far above eigensolver noise.
 CLUSTER_TOL = 1e-6
-
-JACOBI_TOL_FACTOR = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 NODE_GAP_MIN = 1e-8
 
@@ -93,67 +90,20 @@ class Spectrum:
         return tuple(value for value, _ in self.grouping)
 
 
-def _offdiag_norm(a):
-    # Summed directly over the off-diagonal entries: the subtraction
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically once the off-diagonal
-    # mass is below ||A||_F * sqrt(eps) and would stall convergence tests.
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def eigh(matrix):
+    """Eigenvalues of a symmetric matrix, descending, and the eigenvector
+    columns in that order (LAPACK through np.linalg.eigh)."""
+    w, v = np.linalg.eigh(matrix)
+    return w[::-1], v[:, ::-1]
 
 
-def eigh_jacobi(matrix, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvector columns in that order).
-    Converged when the off-diagonal Frobenius norm drops below
-    JACOBI_TOL_FACTOR times the Frobenius norm of the input; raises
-    ConvergenceError carrying the remaining off-diagonal norm otherwise.
-    """
-    a = np.array(np.asarray(matrix, dtype=float))
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if n == 1 or scale == 0.0:
-        order = np.argsort(-np.diag(a), kind="stable")
-        return np.diag(a)[order], v[:, order]
-    threshold = JACOBI_TOL_FACTOR * scale
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        off = _offdiag_norm(a)
-        raise ConvergenceError(
-            f"Jacobi sweeps exhausted ({max_sweeps}); off-diagonal norm {off:.3e}",
-            off_diagonal=off,
-        )
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+# bench/spans.py traces the eigensolve under this name.
+eigh_jacobi = eigh
 
 
 def eigensolve(M: SymmetricMatrix) -> Spectrum:
-    """Full spectrum of M via the Jacobi solver, clustered for multiplicity."""
-    w, _ = eigh_jacobi(M.entries)
+    """Full spectrum of M, clustered for multiplicity."""
+    w, _ = eigh(M.entries)
     return Spectrum.from_values(w)
 
 
@@ -174,7 +124,7 @@ def sigma_k(M: SymmetricMatrix, k: int) -> float:
         raise ValueError(f"k = {k} out of range [0, {n}]")
     if k == 0:
         return 1.0
-    w, _ = eigh_jacobi(M.entries)
+    w, _ = eigh(M.entries)
     return float(_elementary_from_values(w, k)[k])
 
 

@@ -5,6 +5,10 @@ back as JSON, so these double as schema checks.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,20 @@ class TestReportContract:
         doc = json.loads(target.read_text())
         assert doc["error"]["type"] == "ConstructionError"
 
+    @pytest.mark.parametrize(
+        "command", ["verify-cm", "verify-hidden", "alpha-scan", "spectrum"]
+    )
+    def test_zero_samples_is_usage_error(self, capsys, command):
+        # Zero samples would gate nothing and pass vacuously.
+        code, doc = run_json(
+            capsys, [command, "--family", "fkm", "--m", "1", "--r", "3",
+                     "--samples", "0"]
+        )
+        assert code == 2
+        assert doc["pass"] is False
+        assert doc["error"]["type"] == "ConstructionError"
+        assert "--samples" in doc["error"]["message"]
+
     def test_params_are_sorted(self, capsys):
         _, doc = run_json(
             capsys, ["verify-cm", "--family", "fkm", "--m", "2", "--r", "4",
@@ -332,3 +350,18 @@ class TestReportContract:
         )
         keys = list(doc["params"])
         assert keys == sorted(keys)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only numerical dependency; importing scipy would add
+    # about half a second to every command.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = (
+        "import sys, isopar.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -203,6 +203,7 @@ class TestLevelProjection:
                 proj = level_project(fam, x, target)
                 assert abs(eval_F(fam, proj.point) - target) < 1e-9
                 assert abs(np.linalg.norm(proj.point) - 1.0) < 1e-12
+                assert proj.path_residual < 1e-12
 
     def test_rejects_focal_target(self):
         fam = family("cartan1")

@@ -1,8 +1,10 @@
 """Symmetric-matrix kernel against independent oracles.
 
-sigma_k is cross-checked against the principal-minor sum, the Jacobi solver
-against numpy's LAPACK path, the Vandermonde solver against a dense solve.
-Newton's identities are exercised as round-trip properties.
+sigma_k is cross-checked against the principal-minor sum, the Vandermonde
+solver against a dense solve. The eigensolver is LAPACK itself, so it is
+held to the defining properties of its output: descending values,
+A v = v w and orthonormal columns. Newton's identities are exercised as
+round-trip properties.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from isopar.symmat import (
     Spectrum,
     SymmetricMatrix,
     eigensolve,
-    eigh_jacobi,
+    eigh,
     newton_rho_from_sigma,
     newton_sigma_from_rho,
     rho_k,
@@ -58,33 +60,23 @@ class TestSymmetricMatrix:
             m.entries[0, 0] = 5.0
 
 
-class TestJacobi:
+class TestEigh:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-    def test_matches_lapack(self, n):
+    def test_diagonalizes(self, n):
         m = random_symmetric(n, seed=n)
-        w, v = eigh_jacobi(m.entries)
-        w_ref = np.linalg.eigh(m.entries)[0][::-1]
-        assert np.max(np.abs(w - w_ref)) < 1e-10
+        w, v = eigh(m.entries)
+        assert np.all(np.diff(w) <= 0.0)
         # v diagonalizes: columns are eigenvectors for the sorted values.
         assert np.max(np.abs(m.entries @ v - v * w)) < 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
 
-    def test_handles_tiny_offdiagonal_mass(self):
-        # The convergence readout must not stall on cancellation noise when
-        # the diagonal dominates the Frobenius norm.
-        d = np.diag([8.8, -8.8, 8.4, -6.4, -2.1])
-        d[0, 3] = d[3, 0] = 3.0
-        w, _ = eigh_jacobi(d)
-        w_ref = np.linalg.eigh(d)[0][::-1]
-        assert np.max(np.abs(w - w_ref)) < 1e-12
-
     def test_zero_matrix(self):
-        w, _ = eigh_jacobi(np.zeros((4, 4)))
+        w, _ = eigh(np.zeros((4, 4)))
         assert np.all(w == 0.0)
 
     def test_known_eigenvalues(self):
         m = SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        w, _ = eigh_jacobi(m.entries)
+        w, _ = eigh(m.entries)
         assert np.allclose(w, [3.0, 1.0], atol=1e-14)
 
 
