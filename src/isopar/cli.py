@@ -30,15 +30,7 @@ from .clifford import (
     TAG_STANDARD,
     build_complex_structure,
 )
-from .errors import (
-    BlowUpError,
-    ConstructionError,
-    FocalPointError,
-    InvarianceError,
-    IsoparError,
-    ProjectionError,
-    UnsupportedPairError,
-)
+from .errors import BlowUpError, ConstructionError, IsoparError
 from .hopf import HopfContext, alpha_scan, omega_direct, witness_points
 from .polyfam import (
     IsoPolynomial,
@@ -697,26 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-USAGE_ERRORS = (
-    ConstructionError,
-    UnsupportedPairError,
-    InvarianceError,
-    FocalPointError,
-    ProjectionError,
-    BlowUpError,
-    ValueError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        _emit(error_body(args.command, exc), getattr(args, "out", None))
-        return 2
-    except IsoparError as exc:
+    except (IsoparError, ValueError) as exc:
         _emit(error_body(args.command, exc), getattr(args, "out", None))
         return 2
 

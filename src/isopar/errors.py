@@ -21,6 +21,10 @@ class IllPosedMomentsError(IsoparError):
         self.imag_residual = imag_residual
 
 
+class NonFiniteError(IsoparError):
+    """A computed quantity overflowed to inf or nan."""
+
+
 class ConstructionError(IsoparError):
     """Requested object cannot be built from the given parameters."""
 

@@ -9,12 +9,15 @@ Degree-3 family on R^(3m+2) for algebra dimension m in {1, 2, 4, 8}
         + (3 sqrt3 / 2) v (|X|^2 - |Y|^2) + 3 sqrt3 Re((X Y) Z),
     g = 3, multiplicities (m, m).
 
-Each family carries a closed-form evaluation path and an exact monomial form;
-the two are cross-checked at construction.
+Each family has one evaluation path: the cubic's constant tensor T = D^3 F
+(D^2 F = T.x, DF = T(x,x)/2, F = T(x,x,x)/6) or the quartic's stacked Clifford
+generators, with the monomial oracle: F's coefficients written out on their
+own, checked against the path at construction, differentiated on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,34 +66,48 @@ def cd_mult(a, b):
     )
 
 
-def _cartan_eval_closed(m, x):
-    u, v = x[0], x[1]
-    X = x[2 : 2 + m]
-    Y = x[2 + m : 2 + 2 * m]
-    Z = x[2 + 2 * m :]
-    xx = float(X @ X)
-    yy = float(Y @ Y)
-    zz = float(Z @ Z)
-    tri = float(cd_mult(cd_mult(X, Y), Z)[0])
+def _cartan_products(m):
+    """Structure constants of the m-dimensional Cayley-Dickson algebra:
+    (a, b, c, sign) for every basis pair, with e_a e_b = sign * e_c."""
+    basis = np.eye(m)
+    table = []
+    for a, b in itertools.product(range(m), repeat=2):
+        prod = cd_mult(basis[a], basis[b])
+        c = int(np.argmax(np.abs(prod)))
+        table.append((a, b, c, float(prod[c])))
+    return table
+
+
+def _cartan_tensor(m, products):
+    """Read-only third-derivative tensor D^3 F of the cubic, shape (d, d, d)."""
+    d = 3 * m + 2
     s3 = np.sqrt(3.0)
-    return (
-        u**3
-        - 3.0 * u * v**2
-        + 1.5 * u * (xx + yy - 2.0 * zz)
-        + 1.5 * s3 * v * (xx - yy)
-        + 3.0 * s3 * tri
-    )
+    t = np.zeros((d, d, d))
+
+    def put(i, j, k, value):
+        for idx in itertools.permutations((i, j, k)):
+            t[idx] = value
+
+    put(0, 0, 0, 6.0)
+    put(0, 1, 1, -6.0)
+    for a in range(m):
+        ix, iy, iz = 2 + a, 2 + m + a, 2 + 2 * m + a
+        put(0, ix, ix, 3.0)
+        put(0, iy, iy, 3.0)
+        put(0, iz, iz, -6.0)
+        put(1, ix, ix, 3.0 * s3)
+        put(1, iy, iy, -3.0 * s3)
+    # Re(e_c e_c') pairs c with itself: +1 for the real unit, -1 otherwise.
+    for a, b, c, sign in products:
+        pairing = 1.0 if c == 0 else -1.0
+        put(2 + a, 2 + m + b, 2 + 2 * m + c, 3.0 * s3 * sign * pairing)
+    t.flags.writeable = False
+    return t
 
 
-def _cartan_monomials(m):
+def _cartan_monomials(m, products):
     nvars = 3 * m + 2
     s3 = np.sqrt(3.0)
-
-    def mono(**powers):
-        expo = [0] * nvars
-        for idx, e in powers.items():
-            expo[int(idx)] += e
-        return tuple(expo)
 
     def term(*pairs):
         expo = [0] * nvars
@@ -108,20 +125,13 @@ def _cartan_monomials(m):
         f.add(term((0, 1), (iz, 2)), -3.0)
         f.add(term((1, 1), (ix, 2)), 1.5 * s3)
         f.add(term((1, 1), (iy, 2)), -1.5 * s3)
-    # Trilinear part: 3 sqrt3 Re((X Y) Z). Structure constants come from the
-    # algebra itself: e_a e_b = sign * e_c, and Re(e_c e_c') pairs c with
-    # itself, +1 for the real unit and -1 for imaginary ones.
-    basis = np.eye(m)
-    for a in range(m):
-        for b in range(m):
-            prod = cd_mult(basis[a], basis[b])
-            c = int(np.argmax(np.abs(prod)))
-            sign = float(prod[c])
-            pairing = 1.0 if c == 0 else -1.0
-            f.add(
-                term((2 + a, 1), (2 + m + b, 1), (2 + 2 * m + c, 1)),
-                3.0 * s3 * sign * pairing,
-            )
+    # Trilinear part: 3 sqrt3 Re((X Y) Z), with e_a e_b = sign * e_c.
+    for a, b, c, sign in products:
+        pairing = 1.0 if c == 0 else -1.0
+        f.add(
+            term((2 + a, 1), (2 + m + b, 1), (2 + 2 * m + c, 1)),
+            3.0 * s3 * sign * pairing,
+        )
     return f
 
 
@@ -136,7 +146,9 @@ def _fkm_monomials(system: CliffordSystem):
 
 
 class IsoPolynomial:
-    """One family member with cross-checked closed and monomial forms.
+    """One family member: its evaluation data (the cubic's tensor or the
+    quartic's generator stack), with the monomial oracle cross-checked at
+    construction.
 
     Immutable after construction. Fields: family ('fkm' | 'cartan'), g,
     m1, m2, ambient_dim, n = ambient_dim - 2, plus the family payload
@@ -160,6 +172,8 @@ class IsoPolynomial:
             self.ambient_dim = system.dim
             self.system = system
             self.algebra_dim = None
+            self._generators = np.stack(system.generators)
+            self._generators.flags.writeable = False
             mono = _fkm_monomials(system)
         elif family == "cartan":
             if algebra_dim not in CARTAN_ALGEBRA_DIMS:
@@ -172,18 +186,14 @@ class IsoPolynomial:
             self.ambient_dim = 3 * algebra_dim + 2
             self.system = None
             self.algebra_dim = algebra_dim
-            mono = _cartan_monomials(algebra_dim)
+            products = _cartan_products(algebra_dim)
+            self._tensor = _cartan_tensor(algebra_dim, products)
+            mono = _cartan_monomials(algebra_dim, products)
         else:
             raise ValueError(f"unknown family {family!r}")
         self.family = family
         self.n = self.ambient_dim - 2
         self._mono = mono
-        self._grad_forms = tuple(mono.partial(i) for i in range(self.ambient_dim))
-        self._hess_forms = {
-            (i, j): self._grad_forms[i].partial(j)
-            for i in range(self.ambient_dim)
-            for j in range(i, self.ambient_dim)
-        }
         self._construction_check()
 
     def _construction_check(self):
@@ -235,16 +245,13 @@ def _check_point(P: IsoPolynomial, x):
 
 
 def eval_F(P: IsoPolynomial, x) -> float:
-    """Closed-form value of F at x."""
+    """Value of F at x."""
     x = _check_point(P, x)
     if P.family == "fkm":
         z2 = float(x @ x)
-        qsum = 0.0
-        for a in P.system.generators:
-            q = float(x @ (a @ x))
-            qsum += q * q
-        return z2 * z2 - 2.0 * qsum
-    return _cartan_eval_closed(P.algebra_dim, x)
+        q = (P._generators @ x) @ x
+        return z2 * z2 - 2.0 * float(q @ q)
+    return float(x @ (P._tensor @ x) @ x) / 6.0
 
 
 def eval_F_monomial(P: IsoPolynomial, x) -> float:
@@ -253,47 +260,39 @@ def eval_F_monomial(P: IsoPolynomial, x) -> float:
 
 
 def eval_grad(P: IsoPolynomial, x) -> np.ndarray:
-    """Ambient gradient DF. Closed form for the quartic family, exact
-    monomial differentiation for the cubic family."""
+    """Ambient gradient DF: from the generator stack for the quartic family,
+    T(x, x)/2 for the cubic; eval_grad_monomial is the oracle."""
     x = _check_point(P, x)
     if P.family == "fkm":
-        z2 = float(x @ x)
-        acc = z2 * x.copy()
-        for a in P.system.generators:
-            az = a @ x
-            acc -= 2.0 * float(x @ az) * az
-        return 4.0 * acc
-    return np.array([form(x) for form in P._grad_forms])
+        az = P._generators @ x
+        return 4.0 * (float(x @ x) * x - 2.0 * (az @ x) @ az)
+    return (P._tensor @ x) @ x / 2.0
 
 
 def eval_grad_monomial(P: IsoPolynomial, x) -> np.ndarray:
     x = _check_point(P, x)
-    return np.array([form(x) for form in P._grad_forms])
+    return np.array([P._mono.partial(i)(x) for i in range(P.ambient_dim)])
 
 
 def eval_hessian(P: IsoPolynomial, x) -> SymmetricMatrix:
     """Ambient Hessian D^2 F as a SymmetricMatrix."""
     x = _check_point(P, x)
     if P.family == "fkm":
-        dim = P.ambient_dim
-        z2 = float(x @ x)
-        h = z2 * np.eye(dim) + 2.0 * np.outer(x, x)
-        for a in P.system.generators:
-            az = a @ x
-            h -= 2.0 * float(x @ az) * a
-            h -= 4.0 * np.outer(az, az)
+        az = P._generators @ x
+        h = float(x @ x) * np.eye(P.ambient_dim) + 2.0 * np.outer(x, x)
+        h -= 2.0 * np.tensordot(az @ x, P._generators, axes=1) + 4.0 * az.T @ az
         return SymmetricMatrix(4.0 * h)
-    return eval_hessian_monomial(P, x)
+    return SymmetricMatrix(P._tensor @ x)
 
 
 def eval_hessian_monomial(P: IsoPolynomial, x) -> SymmetricMatrix:
     x = _check_point(P, x)
     dim = P.ambient_dim
     h = np.zeros((dim, dim))
-    for (i, j), form in P._hess_forms.items():
-        value = form(x)
-        h[i, j] = value
-        h[j, i] = value
+    for i in range(dim):
+        grad_form = P._mono.partial(i)
+        for j in range(i, dim):
+            h[i, j] = h[j, i] = grad_form.partial(j)(x)
     return SymmetricMatrix(h)
 
 

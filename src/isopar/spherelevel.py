@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FocalPointError, ProjectionError
+from .errors import ConditioningError, FocalPointError, ProjectionError
 from .polyfam import IsoPolynomial, eval_F, eval_grad, eval_hessian, profile_of
 from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k
 
@@ -49,7 +49,7 @@ def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
                 pts[i] = v
                 break
         else:
-            raise RuntimeError("could not draw a point away from the focal bands")
+            raise FocalPointError("could not draw a point away from the focal bands")
     return pts
 
 
@@ -75,7 +75,7 @@ def orthonormal_complement(vectors, dim: int) -> np.ndarray:
                 w -= (row @ w) * row
         norm = np.linalg.norm(w)
         if norm < 1e-8:
-            raise RuntimeError("degenerate complement candidate")
+            raise ConditioningError("degenerate complement candidate", gap=norm)
         rows.append(w / norm)
     return np.vstack(rows) if rows else np.empty((0, dim))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, IllPosedMomentsError
+from .errors import ConditioningError, IllPosedMomentsError, NonFiniteError
 
 # Eigenvalue grouping scale; far below the curvature gaps that occur on
 # regular level sets, far above eigensolver noise.
@@ -155,7 +155,7 @@ def rho_k(M: SymmetricMatrix, k: int) -> float:
         return float(n)
     value = float(np.trace(np.linalg.matrix_power(M.entries, k)))
     if not np.isfinite(value):
-        raise ArithmeticError(f"rho_{k} overflowed to a non-finite value")
+        raise NonFiniteError(f"rho_{k} overflowed to a non-finite value")
     return value
 
 

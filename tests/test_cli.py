@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from isopar import cli
+from isopar import cli, spherelevel
 
 
 def run(capsys, argv):
@@ -342,6 +342,18 @@ class TestReportContract:
         assert doc["pass"] is False
         assert doc["error"]["type"] == "ConstructionError"
         assert "--samples" in doc["error"]["message"]
+
+    def test_library_error_is_json_not_traceback(self, capsys, monkeypatch):
+        # Every sample now sits on a focal level, so the sampler gives up.
+        monkeypatch.setattr(spherelevel, "eval_F", lambda P, x: 1.0)
+        code = cli.main(["verify-cm", "--family", "cartan", "--m", "1",
+                         "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert doc["pass"] is False
+        assert doc["error"]["type"] == "FocalPointError"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_params_are_sorted(self, capsys):
         _, doc = run_json(

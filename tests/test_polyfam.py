@@ -1,8 +1,10 @@
 """Family construction and differential invariants.
 
-Closed evaluations are checked against the compiled monomial forms, exact
-derivatives against central differences, and the displayed identities of
-the 5-variable cubic against a hand-derived Hessian oracle.
+The evaluation paths (the cubic's tensor, the quartic's generator stack) are
+checked against the monomial oracle, exact derivatives against central
+differences, the displayed identities of the 5-variable cubic against a
+hand-derived Hessian oracle, and the algebra's structure constants against
+the composition law |xy| = |x||y|.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from isopar.polyfam import (
     eval_grad_monomial,
     eval_hessian,
     eval_hessian_monomial,
+    _cartan_products,
     from_descriptor,
     hidden_rho_residual,
     make_cartan,
@@ -39,12 +42,18 @@ FAMILY_BUILDERS = {
     "ot1": lambda: make_ot(1),
 }
 
+# Larger cubics, built only for the oracle comparison.
+ORACLE_ONLY_BUILDERS = {
+    "cartan4": lambda: make_cartan(4),
+    "cartan8": lambda: make_cartan(8),
+}
+
 _cache = {}
 
 
 def family(name):
     if name not in _cache:
-        _cache[name] = FAMILY_BUILDERS[name]()
+        _cache[name] = {**FAMILY_BUILDERS, **ORACLE_ONLY_BUILDERS}[name]()
     return _cache[name]
 
 
@@ -115,20 +124,23 @@ class TestConstruction:
 
 
 class TestEvaluationPaths:
-    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
     def test_closed_vs_monomial(self, name):
         fam = family(name)
         for x in seeded_points(fam.ambient_dim, 20, 31):
             assert eval_F(fam, x) == pytest.approx(
-                eval_F_monomial(fam, x), rel=1e-11, abs=1e-11
+                eval_F_monomial(fam, x), rel=1e-13, abs=1e-13
             )
             assert np.allclose(
-                eval_grad(fam, x), eval_grad_monomial(fam, x), atol=1e-11
+                eval_grad(fam, x), eval_grad_monomial(fam, x),
+                rtol=1e-13, atol=1e-13,
             )
             assert np.allclose(
                 eval_hessian(fam, x).entries,
                 eval_hessian_monomial(fam, x).entries,
-                atol=1e-11,
+                rtol=1e-13, atol=1e-13,
             )
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
@@ -170,6 +182,21 @@ class TestEvaluationPaths:
         assert eval_F(fam, lam * x) == pytest.approx(
             lam**4 * eval_F(fam, x), rel=1e-9
         )
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_composition_law(self, m):
+        # R, C, H and O are composition algebras: |xy| = |x||y|.
+        rng = np.random.default_rng(71 + m)
+        table = _cartan_products(m)
+        for _ in range(20):
+            x, y = rng.standard_normal(m), rng.standard_normal(m)
+            xy = np.zeros(m)
+            for a, b, c, sign in table:
+                xy[c] += sign * x[a] * y[b]
+            norms = np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(np.linalg.norm(xy) - norms) <= 1e-13 * norms
 
 
 class TestDefiningEquations:

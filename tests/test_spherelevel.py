@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from isopar.errors import FocalPointError
+from isopar.errors import ConditioningError, FocalPointError
 from isopar.polyfam import eval_F, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
     MunznerSpectrum,
@@ -58,6 +58,10 @@ class TestSampling:
         for x in pts:
             assert abs(eval_F(fam, x)) <= 0.8
 
+    def test_exhausted_redraws_raise_focal_point_error(self):
+        with pytest.raises(FocalPointError, match="focal bands"):
+            regular_sphere_points(family("cartan1"), 1, 11, f_bound=-1.0)
+
 
 class TestOrthonormalComplement:
     def test_spans_orthogonal_complement(self):
@@ -68,6 +72,14 @@ class TestOrthonormalComplement:
         assert basis.shape == (5, 7)
         assert np.max(np.abs(basis @ basis.T - np.eye(5))) < 1e-12
         assert np.max(np.abs(basis @ vecs.T)) < 1e-12
+
+    def test_degenerate_candidate_raises_conditioning_error(self):
+        # Tied candidate norms drop columns 0 and 1; columns 2 and 3 of the
+        # projector are then parallel.
+        s = np.sqrt(0.5)
+        vecs = np.array([[s, s, 0.0, 0.0], [0.0, 0.0, s, s]])
+        with pytest.raises(ConditioningError, match="degenerate"):
+            orthonormal_complement(vecs, 4)
 
 
 class TestFrames:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isopar.errors import ConditioningError, IllPosedMomentsError
+from isopar.errors import ConditioningError, IllPosedMomentsError, NonFiniteError
 from isopar.symmat import (
     Spectrum,
     SymmetricMatrix,
@@ -114,6 +114,12 @@ class TestSigmaRho:
         assert abs(rho_k(m, 2) - np.sum(m.entries * m.entries)) < 1e-10
         with pytest.raises(ValueError):
             rho_k(m, -1)
+
+    def test_rho_overflow_raises_non_finite_error(self):
+        m = SymmetricMatrix(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="rho_3"):
+                rho_k(m, 3)
 
 
 class TestNewton:
