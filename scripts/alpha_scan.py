@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from isopar.clifford import J_BLOCK, J_LEFT, J_RIGHT, build_complex_structure
-from isopar.hopf import HopfContext, alpha_scan
+from isopar.hopf import HopfContext, alpha_scan, write_alpha_csv
 from isopar.polyfam import make_fkm, make_ot
 
 
@@ -54,11 +54,7 @@ def main(argv=None):
               f"{ls[0]}..{ls[-1]:>4}")
 
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write("index,level,alpha,omega,l\n")
-            for rec in rows:
-                handle.write(f"{rec.index},{rec.level:.17g},{rec.alpha:.17g},"
-                             f"{rec.omega:.17g},{rec.l}\n")
+        write_alpha_csv(args.csv, rows)
         print(f"# wrote {len(rows)} samples to {args.csv}")
     return 0
 

@@ -31,7 +31,13 @@ from .clifford import (
     build_complex_structure,
 )
 from .errors import BlowUpError, ConstructionError, IsoparError
-from .hopf import HopfContext, alpha_scan, omega_direct, witness_points
+from .hopf import (
+    HopfContext,
+    alpha_scan,
+    omega_direct,
+    witness_points,
+    write_alpha_csv,
+)
 from .polyfam import (
     IsoPolynomial,
     cm_residuals,
@@ -409,13 +415,7 @@ def cmd_alpha_scan(args) -> int:
 
     if args.csv:
         path = f"{args.csv}-alpha.csv"
-        with open(path, "w") as handle:
-            handle.write("index,level,alpha,omega,l\n")
-            for rec in csv_rows:
-                handle.write(
-                    f"{rec.index},{rec.level:.17g},{rec.alpha:.17g},"
-                    f"{rec.omega:.17g},{rec.l}\n"
-                )
+        write_alpha_csv(path, csv_rows)
         report.notes.append(f"wrote {path}")
 
     _emit(report_body(report), args.out)

@@ -389,3 +389,15 @@ def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
         "std": float(alphas.std()),
     }
     return records, summary
+
+
+def write_alpha_csv(path, records) -> None:
+    """One row (index, level, alpha, omega, l) per AlphaSample; 17 significant
+    digits."""
+    with open(path, "w") as handle:
+        handle.write("index,level,alpha,omega,l\n")
+        for rec in records:
+            handle.write(
+                f"{rec.index},{rec.level:.17g},{rec.alpha:.17g},"
+                f"{rec.omega:.17g},{rec.l}\n"
+            )

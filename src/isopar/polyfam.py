@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    TAG_OZEKI_TAKEUCHI,
-    TAG_STANDARD,
     CliffordSystem,
     build_ozeki_takeuchi_system,
     build_standard_system,
@@ -415,36 +413,3 @@ def delta_H_convert(values, profile: TransnormalProfile, f: float, direction: st
             out.append((acc + bp**j) / (2.0 * sb) ** j)
         return out
     raise ValueError(f"direction must be 'to_H' or 'to_delta', got {direction!r}")
-
-
-def to_descriptor(P: IsoPolynomial) -> dict:
-    """JSON-ready description from which the polynomial can be rebuilt
-    bit-identically."""
-    if P.family == "cartan":
-        return {"family": "cartan", "algebra_dim": P.algebra_dim}
-    if P.system.tag == TAG_STANDARD:
-        return {
-            "family": "fkm",
-            "construction": TAG_STANDARD,
-            "m": P.system.m,
-            "r": P.system.dim // 2,
-        }
-    return {
-        "family": "fkm",
-        "construction": TAG_OZEKI_TAKEUCHI,
-        "r": (P.system.dim - 8) // 8,
-    }
-
-
-def from_descriptor(desc: dict) -> IsoPolynomial:
-    family = desc.get("family")
-    if family == "cartan":
-        return make_cartan(int(desc["algebra_dim"]))
-    if family == "fkm":
-        construction = desc.get("construction", TAG_STANDARD)
-        if construction == TAG_STANDARD:
-            return make_fkm(int(desc["m"]), int(desc["r"]))
-        if construction == TAG_OZEKI_TAKEUCHI:
-            return make_ot(int(desc["r"]))
-        raise ValueError(f"unknown construction {construction!r}")
-    raise ValueError(f"unknown family {family!r}")

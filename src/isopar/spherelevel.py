@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .polyfam import IsoPolynomial, eval_F, eval_grad, eval_hessian, profile_of
 from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
-FD_STEP = 1e-4  # central-difference step for the t-recurrences
+COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
 MATCH_TOL = 1e-6
 PROJECTION_TOL = 1e-10  # level and path gates of level_project
 
@@ -54,30 +55,19 @@ def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
 
 
 def orthonormal_complement(vectors, dim: int) -> np.ndarray:
-    """Orthonormal rows spanning the complement of the given orthonormal rows.
+    """Orthonormal rows spanning the complement of the given rows.
 
-    Projects the standard basis, drops the len(vectors) smallest candidates,
-    then Gram-Schmidts the rest in index order (deterministic). A second
-    orthogonalization pass keeps the result clean near machine precision.
+    The trailing dim - k columns of the complete Householder QR of the k
+    input columns (LAPACK, deterministic). Raises ConditioningError when the
+    input rows are rank-deficient (min |diag R| below 1e-8).
     """
     v = np.asarray(vectors, dtype=float)
     k = v.shape[0]
-    proj = np.eye(dim) - v.T @ v
-    norms = np.linalg.norm(proj, axis=0)
-    drop = set(np.argsort(norms, kind="stable")[:k])
-    rows = []
-    for i in range(dim):
-        if i in drop:
-            continue
-        w = proj[:, i].copy()
-        for _ in range(2):
-            for row in rows:
-                w -= (row @ w) * row
-        norm = np.linalg.norm(w)
-        if norm < 1e-8:
-            raise ConditioningError("degenerate complement candidate", gap=norm)
-        rows.append(w / norm)
-    return np.vstack(rows) if rows else np.empty((0, dim))
+    q, r = np.linalg.qr(v.T, mode="complete")
+    gap = float(np.min(np.abs(np.diag(r))))
+    if gap < 1e-8:
+        raise ConditioningError("rank-deficient input rows", gap=gap)
+    return q[:, k:].T
 
 
 @dataclass(frozen=True)
@@ -248,48 +238,49 @@ def munzner_rhobar(g: int, m1: int, m2: int, t: float, k: int) -> float:
     return acc
 
 
-def _central(fun, t: float, h: float) -> float:
-    return (fun(t + h) - fun(t - h)) / (2.0 * h)
+def _t_derivative(power_sum, t: float, k: int) -> float:
+    """d/dt of power_sum(t, k) as Im power_sum(t + ih, k)/h (complex step,
+    Squire & Trapp 1998): no difference is taken, so it is exact to roundoff."""
+    return float(np.imag(power_sum(complex(t, COMPLEX_STEP), k))) / COMPLEX_STEP
+
+
+def _relative_residual(power_sum, t: float, k: int, rhs: float) -> float:
+    """|lhs - rhs| for lhs = power_sum(t, k + 1), relative to the size of its
+    terms. An odd-order sum cancels to roundoff of terms far above 1 (at t = 0
+    when m1 = m2), so the scale is max(1, |lhs|, the next even-order sum)."""
+    lhs = power_sum(t, k + 1)
+    scale = max(1.0, abs(lhs), power_sum(t, k + 2 - k % 2))
+    return abs(lhs - rhs) / scale
 
 
 @dataclass(frozen=True)
 class QkRecurrenceReport:
     max_residual: float
-    max_residual_richardson: float
 
 
 def qk_recurrence_check(
     g: int, m1: int, m2: int, t_samples, k_max: int = 6
 ) -> QkRecurrenceReport:
-    """Residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1} with a
-    central difference (step FD_STEP) and its Richardson refinement."""
+    """Relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1},
+    with the derivative taken by complex step through munzner_qk."""
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max = {k_max} out of range [1, 8]")
+    qk = partial(munzner_qk, g, m1, m2)
     worst = 0.0
-    worst_rich = 0.0
     for t in t_samples:
         t = float(t)
         if not -0.9 < t < 0.9:
             raise ValueError(f"t = {t} outside (-0.9, 0.9)")
         for k in range(1, k_max):
-            qk = lambda s, kk=k: munzner_qk(g, m1, m2, s, kk)
-            d_h = _central(qk, t, FD_STEP)
-            d_h2 = _central(qk, t, FD_STEP / 2.0)
-            d_rich = (4.0 * d_h2 - d_h) / 3.0
-            lhs = munzner_qk(g, m1, m2, t, k + 1)
-            base = munzner_qk(g, m1, m2, t, k - 1)
-            factor = (g / k) * np.sqrt(1.0 - t * t)
-            worst = max(worst, abs(lhs - (factor * d_h - base)))
-            worst_rich = max(worst_rich, abs(lhs - (factor * d_rich - base)))
-    return QkRecurrenceReport(worst, worst_rich)
+            rhs = (g / k) * np.sqrt(1.0 - t * t) * _t_derivative(qk, t, k)
+            rhs -= qk(t, k - 1)
+            worst = max(worst, _relative_residual(qk, t, k, rhs))
+    return QkRecurrenceReport(worst)
 
 
 @dataclass(frozen=True)
 class RhobarReport:
-    max_residual_odd: float  # Richardson-refined derivative
-    max_residual_even: float
-    plain_odd: float  # raw central difference at FD_STEP
-    plain_even: float
+    max_residual: float  # relative, of the first-order recurrence in t
     path_agreement: float
     seed_zero_error: float  # | rhobar_0 - (n + 2) |
     seed_one_error: float  # | rhobar_1 - (g^2/2)(m2 - m1) |
@@ -302,13 +293,14 @@ def rhobar_recurrence_check(
 
     Path (a) is the analytic eigenvalue-list formula; path (b) evaluates
     rho_k of the actual Hessian at a point projected to each level. The
-    first-order recurrence in t has source terms that alternate with the
-    parity of k, so its residual is tracked per parity branch.
+    first-order recurrence in t, whose source term alternates with the
+    parity of k, is checked on path (a) with a complex-step derivative.
     """
     g, m1, m2 = P.g, P.m1, P.m2
     n = P.n
+    rb = partial(munzner_rhobar, g, m1, m2)
     x0 = regular_sphere_points(P, 1, seed)[0]
-    worst = {("rich", 1): 0.0, ("rich", 0): 0.0, ("plain", 1): 0.0, ("plain", 0): 0.0}
+    worst = 0.0
     agree = 0.0
     seed0 = 0.0
     seed1 = 0.0
@@ -317,36 +309,21 @@ def rhobar_recurrence_check(
         y = level_project(P, x0, t).point
         hess = eval_hessian(P, y)
         for k in range(0, k_max + 1):
-            path_a = munzner_rhobar(g, m1, m2, t, k)
-            path_b = rho_k(hess, k)
-            agree = max(agree, abs(path_a - path_b))
-        seed0 = max(seed0, abs(munzner_rhobar(g, m1, m2, t, 0) - (n + 2.0)))
-        seed1 = max(
-            seed1,
-            abs(munzner_rhobar(g, m1, m2, t, 1) - 0.5 * g * g * (m2 - m1)),
-        )
+            agree = max(agree, abs(rb(t, k) - rho_k(hess, k)))
+        seed0 = max(seed0, abs(rb(t, 0) - (n + 2.0)))
+        seed1 = max(seed1, abs(rb(t, 1) - 0.5 * g * g * (m2 - m1)))
         for k in range(1, k_max):
-            rb = lambda s, kk=k: munzner_rhobar(g, m1, m2, s, kk)
-            d_h = _central(rb, t, FD_STEP)
-            d_h2 = _central(rb, t, FD_STEP / 2.0)
-            d_rich = (4.0 * d_h2 - d_h) / 3.0
             source = 2.0 * float(g ** (k + 1)) * float((g - 1) ** k) * (g - 2.0)
             source *= 1.0 if k % 2 == 1 else t
-            lhs = munzner_rhobar(g, m1, m2, t, k + 1)
-            fixed = (
-                -g * (g - 2.0) * t * munzner_rhobar(g, m1, m2, t, k)
-                + g * g * (g - 1.0) * munzner_rhobar(g, m1, m2, t, k - 1)
+            rhs = (
+                -(g * g / k) * (1.0 - t * t) * _t_derivative(rb, t, k)
+                - g * (g - 2.0) * t * rb(t, k)
+                + g * g * (g - 1.0) * rb(t, k - 1)
                 + source
             )
-            for label, deriv in (("plain", d_h), ("rich", d_rich)):
-                rhs = -(g * g / k) * (1.0 - t * t) * deriv + fixed
-                key = (label, k % 2)
-                worst[key] = max(worst[key], abs(lhs - rhs))
+            worst = max(worst, _relative_residual(rb, t, k, rhs))
     return RhobarReport(
-        max_residual_odd=worst[("rich", 1)],
-        max_residual_even=worst[("rich", 0)],
-        plain_odd=worst[("plain", 1)],
-        plain_even=worst[("plain", 0)],
+        max_residual=worst,
         path_agreement=agree,
         seed_zero_error=seed0,
         seed_one_error=seed1,

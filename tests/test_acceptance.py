@@ -3,13 +3,6 @@
 Eleven numbered checks, each printing exactly one PASS/FAIL line with its
 measured figure and the tolerance it was held to. The prints bypass
 capture so the verdict lines appear in any pytest run.
-
-Check 08 gates the derivative-based recurrences on the Richardson-refined
-central difference (step h and h/2 combined); the raw h = 1e-4 difference
-is truncation-limited near the interval ends and is reported alongside
-without gating. The sixteen-dimensional quartic is likewise reported
-ungated there: its k = 6 power sums reach 1e7 and the surviving roundoff
-leaves no safe margin under 1e-4.
 """
 
 import time
@@ -234,35 +227,20 @@ def test_criterion_07_curvature_spectrum(capsys):
 
 
 def test_criterion_08_level_recurrences(capsys):
-    tol = 1e-4
+    tol = 1e-12
     grid = np.linspace(-0.9, 0.9, 22)[1:-1]  # 20 interior values
-    gated = {"cartan-m1", "cartan-m2", "fkm-2-4"}
     worst = 0.0
-    worst_plain = 0.0
-    informational = []
-    for key in ("cartan-m1", "cartan-m2", "fkm-2-4", "ot-1"):
-        fam = FAMILIES[key]
+    for fam in FAMILIES.values():
         qrep = qk_recurrence_check(fam.g, fam.m1, fam.m2, grid, k_max=6)
         rrep = rhobar_recurrence_check(fam, grid, k_max=6, seed=SEED + 7)
         assert rrep.seed_zero_error == 0.0
         assert rrep.seed_one_error < 1e-12
-        figure = max(
-            qrep.max_residual_richardson,
-            rrep.max_residual_odd,
-            rrep.max_residual_even,
-        )
-        if key in gated:
-            worst = max(worst, figure)
-            worst_plain = max(worst_plain, qrep.max_residual, rrep.plain_odd,
-                              rrep.plain_even)
-        else:
-            informational.append(f"{key} {figure:.2e} ungated")
+        worst = max(worst, qrep.max_residual, rrep.max_residual)
     ok = worst < tol
     emit(
         capsys, 8, "level-recurrences", ok,
-        f"max refined-difference residual {worst:.3e} (tol {tol:g}, 20 t,"
-        f" k <= 6, seeds exact); raw h=1e-4 difference {worst_plain:.2e}"
-        f" reported; {'; '.join(informational)}",
+        f"max complex-step relative residual {worst:.3e} (tol {tol:g},"
+        f" {len(FAMILIES)} families x 20 t, k <= 6, seeds exact)",
     )
 
 

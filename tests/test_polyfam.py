@@ -23,7 +23,6 @@ from isopar.polyfam import (
     eval_hessian,
     eval_hessian_monomial,
     _cartan_products,
-    from_descriptor,
     hidden_rho_residual,
     make_cartan,
     make_fkm,
@@ -107,20 +106,6 @@ class TestConstruction:
     def test_cartan_rejects_bad_algebra_dim(self):
         with pytest.raises(ConstructionError):
             make_cartan(3)
-
-    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
-    def test_descriptor_round_trip(self, name):
-        fam = family(name)
-        clone = from_descriptor(
-            __import__("json").loads(
-                __import__("json").dumps(
-                    __import__("isopar.polyfam", fromlist=["to_descriptor"])
-                    .to_descriptor(fam)
-                )
-            )
-        )
-        x = seeded_points(fam.ambient_dim, 3, 99)[1]
-        assert eval_F(clone, x) == eval_F(fam, x)
 
 
 class TestEvaluationPaths:
