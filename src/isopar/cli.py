@@ -189,6 +189,12 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _require_tolerance(tol: float) -> None:
+    # A NaN gate passes nothing and an infinite one passes everything.
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConstructionError(f"--tol must be positive and finite, got {tol}")
+
+
 def _build_family(args) -> IsoPolynomial:
     # Every family command samples; zero samples would pass vacuously.
     if args.samples < 1:
@@ -231,6 +237,7 @@ def _ball_points(dim: int, count: int, seed: int, radius: float) -> np.ndarray:
 
 def cmd_verify_cm(args) -> int:
     seed = _resolve_seed(args)
+    _require_tolerance(args.tol)
     fam = _build_family(args)
     tol = args.tol
     report = SuiteReport(
@@ -290,6 +297,7 @@ def _parse_k_list(text: str) -> list:
 
 def cmd_verify_hidden(args) -> int:
     seed = _resolve_seed(args)
+    _require_tolerance(args.tol)
     fam = _build_family(args)
     is_cartan_base = fam.family == "cartan" and fam.m1 == 1
 
@@ -402,13 +410,13 @@ def cmd_alpha_scan(args) -> int:
         z_plus, z_minus = witness_points(fam)
         report.add(
             "reference-point-plus",
-            abs(omega_direct(ctx, z_plus) - 128.0),
+            abs(omega_direct(ctx, frame_at(fam, z_plus)) - 128.0),
             TOL_WITNESS,
             "torsion form equals +128 at the recorded zero-level point",
         )
         report.add(
             "reference-point-minus",
-            abs(omega_direct(ctx, z_minus) + 128.0),
+            abs(omega_direct(ctx, frame_at(fam, z_minus)) + 128.0),
             TOL_WITNESS,
             "torsion form equals -128 at the recorded zero-level point",
         )
@@ -492,11 +500,8 @@ def cmd_riccati(args) -> int:
     for t in grid:
         for i in range(1, 8):
             scale = max(scale, abs(q_moment(fam, float(t), i)))
-    worst = 0.0
-    for t in grid:
-        closed = evolve_closed(fam, float(t))
-        numeric = evolve_numeric(fam, float(t), args.steps)
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
+    closed = np.array([evolve_closed(fam, float(t)) for t in grid])
+    worst = float(np.max(np.abs(closed - evolve_numeric(fam, grid, args.steps))))
     report.add(
         "closed-vs-numeric", worst / scale, TOL_RICCATI_EVOLVE,
         "closed-branch evolution vs RK4, scaled by the moment magnitude",

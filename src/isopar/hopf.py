@@ -15,21 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import ComplexStructure, TAG_OZEKI_TAKEUCHI, TAG_STANDARD, J_BLOCK, J_LEFT, J_RIGHT
-from .errors import (
-    FocalPointError,
-    InvarianceError,
-    SpectralGapError,
-    UnsupportedPairError,
-)
-from .polyfam import IsoPolynomial, eval_F, eval_grad, eval_hessian
+from .errors import InvarianceError, SpectralGapError, UnsupportedPairError
+from .polyfam import IsoPolynomial, eval_F
 from .spherelevel import (
-    EPS_FOCAL,
+    SpherePointFrame,
     frame_at,
     level_project,
     orthonormal_complement,
     regular_sphere_points,
 )
-from .symmat import CLUSTER_TOL, SymmetricMatrix, eigh, vandermonde_solve
+from .symmat import CLUSTER_TOL, Spectrum, SymmetricMatrix, eigh, vandermonde_solve
 
 INVARIANCE_TOL = 1e-9
 CONTEXT_CHECK_SAMPLES = 50
@@ -83,12 +78,10 @@ class HopfContext:
         self.g = P.g
 
 
-def omega_direct(ctx: HopfContext, x) -> float:
-    """Omega = DF^T J D^2F J DF, evaluated from the raw derivatives."""
+def omega_direct(ctx: HopfContext, frame: SpherePointFrame) -> float:
+    """Omega = DF^T J D^2F J DF, from the raw derivatives the frame holds."""
     jm = ctx.J.matrix
-    df = eval_grad(ctx.P, x)
-    hess = eval_hessian(ctx.P, x).entries
-    return float(df @ jm @ hess @ (jm @ df))
+    return float(frame.df @ jm @ frame.d2f @ (jm @ frame.df))
 
 
 def omega_closed_form(ctx: HopfContext, x, form: str = "auto") -> float:
@@ -154,45 +147,33 @@ def omega_closed_form(ctx: HopfContext, x, form: str = "auto") -> float:
 
 @dataclass(frozen=True)
 class AlphaPair:
-    """alpha from the Omega formula and from the shape operator directly."""
+    """alpha from the Omega formula and from the shape operator directly,
+    with the Omega the closed path used."""
 
     closed: float
     geometric: float
-
-    @property
-    def value(self) -> float:
-        return self.closed
+    omega: float
 
     @property
     def difference(self) -> float:
         return abs(self.closed - self.geometric)
 
 
-def alpha_at(ctx: HopfContext, x) -> AlphaPair:
-    """Vertical curvature alpha = <S Jnu, Jnu> at unit x on a regular level.
+def alpha_at(ctx: HopfContext, frame: SpherePointFrame) -> AlphaPair:
+    """Vertical curvature alpha = <S Jnu, Jnu> at a frame on a regular level.
 
     Closed path: alpha = (g^3 F (3 - 2F^2) + Omega) / (g^3 (1 - F^2)^(3/2)).
     Geometric path: -H_f(Jnu, Jnu) / |grad f| from the raw Hessian.
     """
-    P = ctx.P
-    x = np.asarray(x, dtype=float)
-    F = eval_F(P, x)
-    if abs(F) > 1.0 - EPS_FOCAL:
-        raise FocalPointError(f"level {F:.6f} is focal", level=F)
-    g = float(P.g)
-    omega = omega_direct(ctx, x)
+    F = frame.f
+    g = float(ctx.g)
+    omega = omega_direct(ctx, frame)
     closed = (g**3 * F * (3.0 - 2.0 * F * F) + omega) / (
         g**3 * (1.0 - F * F) ** 1.5
     )
-    df = eval_grad(P, x)
-    grad_sph = df - g * F * x
-    grad_norm = float(np.linalg.norm(grad_sph))
-    nu = grad_sph / grad_norm
-    jnu = ctx.J.matrix @ nu
-    hess = eval_hessian(P, x).entries
-    hf_vert = float(jnu @ hess @ jnu) - g * F
-    geometric = -hf_vert / grad_norm
-    return AlphaPair(closed=float(closed), geometric=float(geometric))
+    jnu = ctx.J.matrix @ frame.nu
+    geometric = -float(frame.hessian_in(jnu[None, :])[0, 0]) / frame.grad_norm
+    return AlphaPair(closed=float(closed), geometric=geometric, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -209,24 +190,18 @@ class HopfBlocks:
     link_residual: float
 
 
-def hopf_blocks(ctx: HopfContext, x) -> HopfBlocks:
-    P = ctx.P
-    x = np.asarray(x, dtype=float)
-    frame = frame_at(P, x)
+def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> HopfBlocks:
     jm = ctx.J.matrix
-    jx = jm @ x
+    jx = jm @ frame.point
     jnu = jm @ frame.nu
     if abs(float(jx @ frame.nu)) > 1e-8:
         raise InvarianceError(
             "J x is not tangent to the level set; frame is degenerate here"
         )
     rest = orthonormal_complement(
-        np.vstack([x, frame.nu, jnu, jx]), P.ambient_dim
+        np.vstack([frame.point, frame.nu, jnu, jx]), ctx.P.ambient_dim
     )
-    rows = np.vstack([rest, jnu, jx])
-    hess = eval_hessian(P, x).entries
-    hf = rows @ hess @ rows.T - P.g * frame.f * np.eye(rows.shape[0])
-    s = -hf / frame.grad_norm
+    s = -frame.hessian_in(np.vstack([rest, jnu, jx])) / frame.grad_norm
     n = s.shape[0]
     expected_col = np.zeros(n)
     expected_col[n - 2] = -1.0  # S Jx = -Jnu
@@ -261,30 +236,24 @@ class HopfDecomposition:
     moment_residuals: tuple  # deviations of (sum phi^2, sum lam phi^2 - 0, ...)
 
 
-def phi_decomposition(ctx: HopfContext, x) -> HopfDecomposition:
-    P = ctx.P
-    x = np.asarray(x, dtype=float)
-    frame = frame_at(P, x)
+def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecomposition:
     w, vecs = eigh(frame.shape.entries)
-    groups = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i - 1] - w[i] > CLUSTER_TOL:
-            groups.append((start, i))
-            start = i
-    if len(groups) != P.g:
+    spectrum = Spectrum.from_values(w)
+    if len(spectrum.grouping) != ctx.g:
         raise SpectralGapError(
-            f"expected {P.g} curvature clusters, found {len(groups)}"
+            f"expected {ctx.g} curvature clusters, found {len(spectrum.grouping)}"
         )
-    jx = ctx.J.matrix @ x
-    coords = vecs.T @ (frame.tangent_basis @ jx)
-    lambdas = tuple(float(np.mean(w[a:b])) for a, b in groups)
-    phi_sq = tuple(float(np.sum(coords[a:b] ** 2)) for a, b in groups)
-    alpha = alpha_at(ctx, x).closed
-    if P.g == 2:
+    coords = vecs.T @ (frame.tangent_basis @ (ctx.J.matrix @ frame.point))
+    bounds = np.cumsum((0,) + spectrum.multiplicities())
+    lambdas = spectrum.distinct()
+    phi_sq = tuple(
+        float(np.sum(coords[a:b] ** 2)) for a, b in zip(bounds, bounds[1:])
+    )
+    alpha = alpha_at(ctx, frame).closed
+    if ctx.g == 2:
         lam1, lam2 = lambdas
         phi_m = (-lam2 / (lam1 - lam2), lam1 / (lam1 - lam2))
-    elif P.g == 4:
+    elif ctx.g == 4:
         phi_m = tuple(
             float(v) for v in vandermonde_solve(lambdas, [1.0, 0.0, 1.0, alpha])
         )
@@ -302,7 +271,7 @@ def phi_decomposition(ctx: HopfContext, x) -> HopfDecomposition:
         abs(float(lam**3 @ phi) - alpha),
     )
     return HopfDecomposition(
-        point=x,
+        point=frame.point,
         lambdas=lambdas,
         phi_sq=phi_sq,
         phi_sq_moment=phi_m,
@@ -366,19 +335,15 @@ def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
     pts = regular_sphere_points(P, samples, seed, f_bound=0.85)
     records = []
     for i, p in enumerate(pts):
-        y = level_project(P, p, level).point
-        pair = alpha_at(ctx, y)
+        frame = frame_at(P, level_project(P, p, level).point)
+        pair = alpha_at(ctx, frame)
         try:
-            count = phi_decomposition(ctx, y).l
+            count = phi_decomposition(ctx, frame).l
         except SpectralGapError:
             count = -1
         records.append(
             AlphaSample(
-                index=i,
-                level=level,
-                alpha=pair.closed,
-                omega=omega_direct(ctx, y),
-                l=count,
+                index=i, level=level, alpha=pair.closed, omega=pair.omega, l=count
             )
         )
     alphas = np.array([rec.alpha for rec in records])

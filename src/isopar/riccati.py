@@ -176,18 +176,24 @@ def evolve_derivative(fam: RiccatiFamily, t: float) -> np.ndarray:
     return np.array([_dmu_closed(branch, t) for branch in fam.branches])
 
 
-def evolve_numeric(fam: RiccatiFamily, t: float, steps: int) -> np.ndarray:
-    """Classical RK4 integration of mu' = mu^2 + kappa from 0 to t."""
-    t = float(t)
+def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
+    """Classical RK4 integration of mu' = mu^2 + kappa from 0 to t.
+
+    t is one time, giving shape (n,), or an array of times integrated
+    together as one stacked array, giving shape t.shape + (n,). Each time
+    takes its own step h = t/steps, so every row carries exactly the
+    arithmetic of integrating that time alone.
+    """
+    t = np.asarray(t, dtype=float)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    mu = np.broadcast_to(np.array(fam.mu0), t.shape + (len(fam.mu0),)).copy()
     if steps == 0:
-        if t != 0.0:
+        if np.any(t != 0.0):
             raise ValueError("zero steps only reproduce the initial time")
-        return np.array(fam.mu0)
+        return mu
     kappas = np.array(fam.jacobi.kappas)
-    mu = np.array(fam.mu0)
-    h = t / steps
+    h = (t / steps)[..., None]
     rhs = lambda m: m * m + kappas
     for _ in range(steps):
         k1 = rhs(mu)
@@ -195,8 +201,11 @@ def evolve_numeric(fam: RiccatiFamily, t: float, steps: int) -> np.ndarray:
         k3 = rhs(mu + 0.5 * h * k2)
         k4 = rhs(mu + h * k3)
         mu = mu + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(mu)) or np.max(np.abs(mu)) > OVERFLOW_LIMIT:
-            raise IntegrationError(f"integration overflowed on the way to t = {t}")
+        bad = ~(np.abs(mu) <= OVERFLOW_LIMIT).all(axis=-1)
+        if bad.any():
+            raise IntegrationError(
+                f"integration overflowed on the way to t = {t[bad].flat[0]}"
+            )
     return mu
 
 

@@ -10,7 +10,7 @@ normal great circle.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -65,30 +65,55 @@ def orthonormal_complement(vectors, dim: int) -> np.ndarray:
     k = v.shape[0]
     q, r = np.linalg.qr(v.T, mode="complete")
     gap = float(np.min(np.abs(np.diag(r))))
-    if gap < 1e-8:
+    if not gap >= 1e-8:
         raise ConditioningError("rank-deficient input rows", gap=gap)
     return q[:, k:].T
+
+
+def _spherical_normal(P: IsoPolynomial, x, f: float, df):
+    """Spherical gradient df - g f x of f = F|_S at unit x (Euler: DF.x = gF),
+    its norm and the unit normal nu of the level set."""
+    grad_sph = df - P.g * f * x
+    grad_norm = float(np.linalg.norm(grad_sph))
+    return grad_sph, grad_norm, grad_sph / grad_norm
 
 
 @dataclass(frozen=True)
 class SpherePointFrame:
     """Adapted data at a regular point x of the unit sphere.
 
-    tangent_basis: n orthonormal rows spanning the level-set tangent space
-    (orthogonal to x and to the spherical gradient). hessian_sph is the
-    spherical Hessian of f = F|_S in the frame (e_1..e_n, nu), order n+1.
-    shape is the level-set shape operator, order n.
+    df and d2f are the ambient DF and D^2F at x, evaluated once; every
+    derived quantity reads them. tangent_basis: n orthonormal rows spanning
+    the level-set tangent space (orthogonal to x and to the spherical
+    gradient). hessian_sph is the spherical Hessian of f = F|_S in the frame
+    (e_1..e_n, nu), order n+1; shape is the level-set shape operator, order
+    n. Both are derived at construction.
     """
 
     point: np.ndarray
     f: float
+    df: np.ndarray
+    d2f: np.ndarray
     grad_sph: np.ndarray
     grad_norm: float
     nu: np.ndarray
     tangent_basis: np.ndarray
-    hessian_sph: SymmetricMatrix
-    shape: SymmetricMatrix
     profile: object
+    hessian_sph: SymmetricMatrix = field(init=False)
+    shape: SymmetricMatrix = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.tangent_basis)
+        hess_sph = self.hessian_in(np.vstack([self.tangent_basis, self.nu]))
+        object.__setattr__(self, "hessian_sph", SymmetricMatrix(hess_sph))
+        object.__setattr__(
+            self, "shape", SymmetricMatrix(-hess_sph[:n, :n] / self.grad_norm)
+        )
+
+    def hessian_in(self, rows) -> np.ndarray:
+        """Spherical Hessian of f on orthonormal rows tangent to the sphere
+        at the point: rows D^2F rows^T - g f I."""
+        return rows @ self.d2f @ rows.T - self.profile.g * self.f * np.eye(len(rows))
 
     def residuals(self) -> dict:
         """Max-abs residuals of the frame invariants."""
@@ -104,40 +129,42 @@ class SpherePointFrame:
 
 
 def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
-    """Build the adapted frame at a unit vector x on a regular level."""
+    """Build the adapted frame at a unit vector x on a regular level.
+
+    The one evaluation of DF and D^2F at x; the Hopf layer reads the frame.
+    """
     x = np.asarray(x, dtype=float)
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-12:
+    if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12:
         raise ValueError("x must lie on the unit sphere to 1e-12")
     f = eval_F(P, x)
-    if abs(f) > 1.0 - EPS_FOCAL:
+    if not abs(f) <= 1.0 - EPS_FOCAL:
         raise FocalPointError(
             f"level f = {f:.6f} is inside the focal band", level=f
         )
     df = eval_grad(P, x)
-    grad_sph = df - P.g * f * x
-    grad_norm = float(np.linalg.norm(grad_sph))
-    nu = grad_sph / grad_norm
-    basis = orthonormal_complement(np.vstack([x, nu]), P.ambient_dim)
-    hf_amb = eval_hessian(P, x).entries
-    frame_rows = np.vstack([basis, nu])
-    n = P.n
-    hess_sph = frame_rows @ hf_amb @ frame_rows.T - P.g * f * np.eye(n + 1)
-    shape = -hess_sph[:n, :n] / grad_norm
+    grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
         point=x,
         f=float(f),
+        df=df,
+        d2f=eval_hessian(P, x).entries,
         grad_sph=grad_sph,
         grad_norm=grad_norm,
         nu=nu,
-        tangent_basis=basis,
-        hessian_sph=SymmetricMatrix(hess_sph),
-        shape=SymmetricMatrix(shape),
+        tangent_basis=orthonormal_complement(np.vstack([x, nu]), P.ambient_dim),
         profile=profile_of(P),
     )
 
 
 def shape_spectrum(frame: SpherePointFrame) -> Spectrum:
     return eigensolve(frame.shape)
+
+
+def cotangent_shift(g: int, t) -> tuple:
+    """cot(arccos(t)/g + i pi/g) for i = 0..g-1, descending for real t in
+    (-1, 1) since cot decreases on (0, pi); t may be complex."""
+    tau = np.arccos(t) / g
+    return tuple(1.0 / np.tan(tau + i * np.pi / g) for i in range(g))
 
 
 @dataclass(frozen=True)
@@ -157,14 +184,10 @@ class MunznerSpectrum:
     def at_level(cls, g: int, m1: int, m2: int, t: float):
         if not -1.0 < t < 1.0:
             raise ValueError(f"level t = {t} must be interior to (-1, 1)")
-        tau = np.arccos(t) / g
-        curv = tuple(
-            1.0 / np.tan(tau + i * np.pi / g) for i in range(g)
-        )  # descending since cot decreases on (0, pi)
         mult = tuple(m1 if i % 2 == 0 else m2 for i in range(g))
         return cls(
-            g=g, m1=m1, m2=m2, t=float(t), tau=float(tau),
-            curvatures=curv, multiplicities=mult,
+            g=g, m1=m1, m2=m2, t=float(t), tau=float(np.arccos(t) / g),
+            curvatures=cotangent_shift(g, t), multiplicities=mult,
         )
 
     def values(self) -> np.ndarray:
@@ -204,16 +227,11 @@ def munzner_check(frame: SpherePointFrame, g: int, m1: int, m2: int) -> MunznerR
 
 
 def munzner_qk(g: int, m1: int, m2: int, t: float, k: int) -> float:
-    """Power sum Q_k(t) of the level-set principal curvatures."""
-    tau = np.arccos(t) / g
-    s1 = sum(
-        (1.0 / np.tan(tau + 2.0 * i * np.pi / g)) ** k
-        for i in range((g + 1) // 2)
-    )
-    s2 = sum(
-        (1.0 / np.tan(tau + (2.0 * i + 1.0) * np.pi / g)) ** k
-        for i in range(g // 2)
-    )
+    """Power sum Q_k(t) of the level-set principal curvatures, summed over
+    the m1 branches first, then the m2 branches."""
+    cots = cotangent_shift(g, t)
+    s1 = sum(c**k for c in cots[0::2])
+    s2 = sum(c**k for c in cots[1::2])
     return m1 * s1 + m2 * s2
 
 
@@ -227,11 +245,9 @@ def munzner_q1_closed(g: int, m1: int, m2: int, t: float) -> float:
 def munzner_rhobar(g: int, m1: int, m2: int, t: float, k: int) -> float:
     """Power sum of the ambient Hessian eigenvalues on the level-t set:
     shifted curvature terms plus the fixed pair +-g(g-1)."""
-    tau = np.arccos(t) / g
     stretch = g * np.sqrt(1.0 - t * t)
     acc = 0.0
-    for i in range(g):
-        lam = 1.0 / np.tan(tau + i * np.pi / g)
+    for i, lam in enumerate(cotangent_shift(g, t)):
         mult = m1 if i % 2 == 0 else m2
         acc += mult * (-stretch * lam + g * t) ** k
     acc += float(g**k) * float((g - 1) ** k) * (1.0 + (-1.0) ** k)
@@ -356,35 +372,29 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
     intermediate arcs, the whole path are then verified through eval_F.
     """
     x = np.asarray(x, dtype=float)
-    if abs(t_target) > 1.0 - EPS_FOCAL:
+    if not abs(t_target) <= 1.0 - EPS_FOCAL:
         raise FocalPointError(
-            f"target level {t_target} is inside the focal band", level=t_target
+            f"target level {t_target} is not a regular level", level=t_target
         )
     f0 = eval_F(P, x)
-    if abs(f0) > 1.0 - EPS_FOCAL:
-        raise FocalPointError(f"start level {f0:.6f} is focal", level=f0)
-    df = eval_grad(P, x)
-    grad_sph = df - P.g * f0 * x
-    nu = grad_sph / np.linalg.norm(grad_sph)
+    if not abs(f0) <= 1.0 - EPS_FOCAL:
+        raise FocalPointError(f"start level {f0:.6f} is not regular", level=f0)
+    _, _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
     tau0 = np.arccos(f0) / P.g
-
-    def along(s):
-        y = np.cos(s) * x + np.sin(s) * nu
-        return eval_F(P, y)
-
     arc = landing_arc(tau0, t_target, P.g)
     y = np.cos(arc) * x + np.sin(arc) * nu
     y /= np.linalg.norm(y)
     level_residual = abs(eval_F(P, y) - t_target)
-    if level_residual > PROJECTION_TOL:
+    if not level_residual <= PROJECTION_TOL:
         raise ProjectionError(
             f"projected level misses target by {level_residual:.3e}"
         )
-    path_residual = 0.0
-    for s in np.linspace(min(0.0, arc), max(0.0, arc), 20):
-        predicted = np.cos(P.g * (tau0 - s))
-        path_residual = max(path_residual, abs(along(s) - predicted))
-    if path_residual > PROJECTION_TOL:
+    # np.max, unlike the builtin max, carries a NaN through to the gate.
+    path_residual = np.max([
+        abs(eval_F(P, np.cos(s) * x + np.sin(s) * nu) - np.cos(P.g * (tau0 - s)))
+        for s in np.linspace(min(0.0, arc), max(0.0, arc), 20)
+    ])
+    if not path_residual <= PROJECTION_TOL:
         raise ProjectionError(
             f"normal arc leaves cos(g (tau0 - s)) by {path_residual:.3e}"
         )
@@ -398,7 +408,7 @@ def transnormal_residuals(P: IsoPolynomial, x):
     """Residuals of the spherical profile equations at unit x:
     (|grad f|^2 - b(f),  Delta f - a(f))."""
     frame = frame_at(P, x)
-    prof = profile_of(P)
+    prof = frame.profile
     res_grad = frame.grad_norm**2 - prof.b(frame.f)
     res_lap = frame.hessian_sph.trace() - prof.a(frame.f)
     return float(res_grad), float(res_lap)

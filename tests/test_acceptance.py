@@ -6,6 +6,7 @@ capture so the verdict lines appear in any pytest run.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -165,11 +166,13 @@ def test_criterion_04_torsion_witnesses(capsys):
     tol = 1e-9
     z_plus_f, z_minus_f = witness_points(FAMILIES["fkm-2-4"])
     z_plus_o, z_minus_o = witness_points(FAMILIES["ot-1"])
+    frame_f = partial(frame_at, FAMILIES["fkm-2-4"])
+    frame_o = partial(frame_at, FAMILIES["ot-1"])
     checks = [
-        abs(omega_direct(CTX["fkm-2-4/block"], z_plus_f) - 128.0),
-        abs(omega_direct(CTX["fkm-2-4/block"], z_minus_f) + 128.0),
-        abs(omega_direct(CTX["ot-1/right"], z_plus_o) - 128.0),
-        abs(omega_direct(CTX["ot-1/left"], z_minus_o) + 128.0),
+        abs(omega_direct(CTX["fkm-2-4/block"], frame_f(z_plus_f)) - 128.0),
+        abs(omega_direct(CTX["fkm-2-4/block"], frame_f(z_minus_f)) + 128.0),
+        abs(omega_direct(CTX["ot-1/right"], frame_o(z_plus_o)) - 128.0),
+        abs(omega_direct(CTX["ot-1/left"], frame_o(z_minus_o)) + 128.0),
     ]
     worst = max(checks)
     ok = worst < tol
@@ -186,7 +189,8 @@ def test_criterion_05_torsion_closed_form(capsys):
         pts = regular_sphere_points(ctx.P, 100, SEED + 3)
         for x in pts:
             worst = max(
-                worst, abs(omega_closed_form(ctx, x) - omega_direct(ctx, x))
+                worst,
+                abs(omega_closed_form(ctx, x) - omega_direct(ctx, frame_at(ctx.P, x))),
             )
     ok = worst < tol
     emit(
@@ -252,7 +256,8 @@ def test_criterion_09_invariant_block_structure(capsys):
     for name in ("fkm-2-4/block", "ot-1/right"):
         ctx = CTX[name]
         for x in regular_sphere_points(ctx.P, 50, SEED + 8, f_bound=0.8):
-            blocks = hopf_blocks(ctx, x)
+            frame = frame_at(ctx.P, x)
+            blocks = hopf_blocks(ctx, frame)
             worst_frame = max(
                 worst_frame,
                 blocks.sjx_residual,
@@ -261,14 +266,14 @@ def test_criterion_09_invariant_block_structure(capsys):
                 blocks.link_residual,
             )
             s, st = blocks.s_full, blocks.s_tilde
-            alpha = alpha_at(ctx, x).closed
+            alpha = alpha_at(ctx, frame).closed
             worst_frame = max(
                 worst_frame,
                 abs(sigma_k(s, 1) - sigma_k(st, 1)),
                 abs(sigma_k(s, 2) - (sigma_k(st, 2) - 1.0)),
                 abs(sigma_k(s, 3) - (sigma_k(st, 3) - sigma_k(st, 1) + alpha)),
             )
-            dec = phi_decomposition(ctx, x)
+            dec = phi_decomposition(ctx, frame)
             worst_moment = max(worst_moment, max(dec.moment_residuals))
     ok = worst_frame < tol_frame and worst_moment < tol_moments
     emit(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from isopar import cli, spherelevel
+from isopar import cli, errors, spherelevel
 
 
 def run(capsys, argv):
@@ -71,6 +71,20 @@ class TestVerifyCm:
         assert code == 1
         assert doc["pass"] is False
         assert any(row["residual"] > row["tolerance"] for row in doc["details"])
+
+    @pytest.mark.parametrize("command", ["verify-cm", "verify-hidden"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_tolerance_is_usage_error(self, capsys, monkeypatch, command, tol):
+        def no_build(m):
+            raise AssertionError("family built before --tol was checked")
+
+        monkeypatch.setattr(cli, "make_cartan", no_build)
+        code, doc = run_json(
+            capsys, [command, "--family", "cartan", "--m", "1", f"--tol={tol}"]
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert "--tol" in doc["error"]["message"]
 
     def test_bad_fkm_pair_is_usage_error(self, capsys):
         code, doc = run_json(
@@ -165,6 +179,14 @@ class TestAlphaScan:
             capsys, ["alpha-scan", "--family", "cartan", "--m", "1"]
         )
         assert code == 2
+
+    def test_nan_level_is_library_error(self, capsys):
+        code, doc = run_json(
+            capsys, ["alpha-scan", "--family", "fkm", "--m", "1", "--r", "3",
+                     "--level", "nan"]
+        )
+        assert code == 2
+        assert issubclass(getattr(errors, doc["error"]["type"]), errors.IsoparError)
 
     def test_csv_side_file(self, capsys, tmp_path):
         prefix = str(tmp_path / "scan")

@@ -1,8 +1,11 @@
 """Circle-invariant structure: Omega, alpha, block frames, weight systems."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from isopar import polyfam
 from isopar.clifford import J_BLOCK, J_LEFT, J_RIGHT, build_complex_structure
 from isopar.errors import InvarianceError, UnsupportedPairError
 from isopar.hopf import (
@@ -17,7 +20,7 @@ from isopar.hopf import (
     witness_points,
 )
 from isopar.polyfam import eval_F, make_cartan, make_fkm, make_ot
-from isopar.spherelevel import level_project, regular_sphere_points
+from isopar.spherelevel import frame_at, level_project, regular_sphere_points
 from isopar.symmat import sigma_k
 
 _cache = {}
@@ -80,8 +83,10 @@ class TestOmega:
             z_plus, z_minus = witness_points(ctx.P)
             assert abs(eval_F(ctx.P, z_plus)) < 1e-12
             assert abs(eval_F(ctx.P, z_minus)) < 1e-12
-            assert omega_direct(ctx, z_plus) == pytest.approx(128.0, abs=1e-12)
-            assert omega_direct(ctx, z_minus) == pytest.approx(-128.0, abs=1e-12)
+            omega_plus = omega_direct(ctx, frame_at(ctx.P, z_plus))
+            omega_minus = omega_direct(ctx, frame_at(ctx.P, z_minus))
+            assert omega_plus == pytest.approx(128.0, abs=1e-12)
+            assert omega_minus == pytest.approx(-128.0, abs=1e-12)
 
     def test_witness_points_unsupported_family(self):
         with pytest.raises(UnsupportedPairError):
@@ -92,7 +97,7 @@ class TestOmega:
         ctx = context(name)
         pts = regular_sphere_points(ctx.P, 20, 71, f_bound=0.99)
         for x in pts:
-            direct = omega_direct(ctx, x)
+            direct = omega_direct(ctx, frame_at(ctx.P, x))
             closed = omega_closed_form(ctx, x)
             assert closed == pytest.approx(direct, abs=1e-10, rel=1e-10)
 
@@ -116,7 +121,7 @@ class TestAlpha:
     def test_closed_matches_geometric(self, name):
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 10, 79):
-            pair = alpha_at(ctx, x)
+            pair = alpha_at(ctx, frame_at(ctx.P, x))
             assert pair.difference < 1e-9
 
     def test_m1_alpha_constant_per_level(self):
@@ -125,7 +130,7 @@ class TestAlpha:
             values = []
             for x in regular_sphere_points(ctx.P, 15, 83):
                 y = level_project(ctx.P, x, level).point
-                values.append(alpha_at(ctx, y).closed)
+                values.append(alpha_at(ctx, frame_at(ctx.P, y)).closed)
             assert np.std(values) < 1e-7
 
     def test_m1_alpha_level_zero_value(self):
@@ -133,7 +138,26 @@ class TestAlpha:
         ctx = context("fkm13-block")
         x = regular_sphere_points(ctx.P, 1, 84)[0]
         y = level_project(ctx.P, x, 0.0).point
-        assert alpha_at(ctx, y).closed == pytest.approx(2.0, abs=1e-9)
+        alpha = alpha_at(ctx, frame_at(ctx.P, y)).closed
+        assert alpha == pytest.approx(2.0, abs=1e-9)
+
+    def test_scan_evaluates_one_hessian_per_sample(self, monkeypatch):
+        ctx = context("fkm24-block")
+        calls = []
+        original = polyfam.eval_hessian
+
+        def counted(P, x):
+            calls.append(x)
+            return original(P, x)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "isopar" and getattr(
+                module, "eval_hessian", None
+            ) is original:
+                monkeypatch.setattr(module, "eval_hessian", counted)
+        records, _ = alpha_scan(ctx, 0.3, 7, 89)
+        assert len(records) == 7
+        assert len(calls) == 7
 
     def test_m2_alpha_varies(self):
         ctx = context("fkm24-block")
@@ -144,8 +168,10 @@ class TestAlpha:
         # Omega = +-128 at F = 0 forces alpha = +-128/64 = +-2
         ctx = context("fkm24-block")
         z_plus, z_minus = witness_points(ctx.P)
-        assert alpha_at(ctx, z_plus).closed == pytest.approx(2.0, abs=1e-10)
-        assert alpha_at(ctx, z_minus).closed == pytest.approx(-2.0, abs=1e-10)
+        alpha_plus = alpha_at(ctx, frame_at(ctx.P, z_plus)).closed
+        alpha_minus = alpha_at(ctx, frame_at(ctx.P, z_minus)).closed
+        assert alpha_plus == pytest.approx(2.0, abs=1e-10)
+        assert alpha_minus == pytest.approx(-2.0, abs=1e-10)
 
 
 class TestBlocks:
@@ -153,7 +179,7 @@ class TestBlocks:
     def test_forced_structure(self, name):
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 8, 97):
-            blocks = hopf_blocks(ctx, x)
+            blocks = hopf_blocks(ctx, frame_at(ctx.P, x))
             assert blocks.sjx_residual < 1e-10
             assert blocks.corner_residual < 1e-10
             assert blocks.offblock_residual < 1e-10
@@ -163,8 +189,9 @@ class TestBlocks:
     def test_sigma_identities(self, name):
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 8, 101):
-            blocks = hopf_blocks(ctx, x)
-            alpha = alpha_at(ctx, x).closed
+            frame = frame_at(ctx.P, x)
+            blocks = hopf_blocks(ctx, frame)
+            alpha = alpha_at(ctx, frame).closed
             s, st = blocks.s_full, blocks.s_tilde
             assert sigma_k(s, 1) == pytest.approx(sigma_k(st, 1), abs=1e-7)
             assert sigma_k(s, 2) == pytest.approx(sigma_k(st, 2) - 1.0, abs=1e-7)
@@ -178,7 +205,7 @@ class TestPhiDecomposition:
     def test_moment_identities(self, name):
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 6, 103):
-            dec = phi_decomposition(ctx, x)
+            dec = phi_decomposition(ctx, frame_at(ctx.P, x))
             assert len(dec.lambdas) == ctx.P.g
             for res in dec.moment_residuals:
                 assert res < 1e-8
@@ -187,12 +214,12 @@ class TestPhiDecomposition:
     def test_two_routes_agree(self):
         ctx = context("fkm24-block")
         for x in regular_sphere_points(ctx.P, 6, 107):
-            dec = phi_decomposition(ctx, x)
+            dec = phi_decomposition(ctx, frame_at(ctx.P, x))
             assert dec.phi_sq_moment is not None
             assert dec.route_difference < 1e-8
 
     def test_weight_count_bounds(self):
         ctx = context("fkm24-block")
         x = regular_sphere_points(ctx.P, 1, 109)[0]
-        dec = phi_decomposition(ctx, x)
+        dec = phi_decomposition(ctx, frame_at(ctx.P, x))
         assert 1 <= dec.l <= ctx.P.g

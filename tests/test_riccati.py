@@ -170,6 +170,22 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="nonnegative"):
             rc.evolve_numeric(fam, 0.2, -3)
 
+    @pytest.mark.parametrize(
+        "jac,mu0",
+        [
+            (rc.space_form(-1.0, 3), (0.4, -0.2, 1.6)),
+            (rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)),
+        ],
+    )
+    def test_stacked_grid_matches_one_time_at_a_time(self, jac, mu0):
+        fam = rc.riccati_family(jac, mu0)
+        grid = np.concatenate([clipped_times(fam, -0.5, 0.5, 8), [0.0]])
+        stacked = rc.evolve_numeric(fam, grid, 200)
+        assert stacked.shape == (len(grid), len(mu0))
+        assert np.array_equal(
+            stacked, np.stack([rc.evolve_numeric(fam, t, 200) for t in grid])
+        )
+
     def test_rk4_overflow_past_pole(self):
         fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))
         with pytest.raises(IntegrationError):

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from isopar.errors import ConditioningError, FocalPointError
+from isopar import spherelevel
+from isopar.errors import ConditioningError, FocalPointError, ProjectionError
 from isopar.polyfam import eval_F, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
     MunznerSpectrum,
@@ -87,6 +88,10 @@ class TestOrthonormalComplement:
         with pytest.raises(ConditioningError, match="rank-deficient"):
             orthonormal_complement(np.vstack([row, row]), 4)
 
+    def test_nan_rows_raise(self):
+        with pytest.raises(ConditioningError, match="rank-deficient"):
+            orthonormal_complement(np.full((2, 6), np.nan), 6)
+
 
 class TestFrames:
     @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -108,6 +113,17 @@ class TestFrames:
         fam = family("cartan1")
         with pytest.raises(ValueError, match="unit sphere"):
             frame_at(fam, np.full(5, 0.7))
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="unit sphere"):
+            frame_at(family("cartan1"), np.full(5, np.nan))
+
+    def test_nan_level_rejected(self, monkeypatch):
+        fam = family("cartan1")
+        x = regular_sphere_points(fam, 1, 43)[0]
+        monkeypatch.setattr(spherelevel, "eval_F", lambda P, y: float("nan"))
+        with pytest.raises(FocalPointError):
+            frame_at(fam, x)
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_transnormal_residuals(self, name):
@@ -227,6 +243,41 @@ class TestLevelProjection:
             level_project(fam, x, 1.5)
         with pytest.raises(FocalPointError):
             level_project(fam, x, 0.9995)
+
+    def test_rejects_nan_target(self):
+        # A NaN target used to land on a NaN point with a tiny path residual.
+        fam = make_fkm(1, 3)
+        x = regular_sphere_points(fam, 1, 41)[0]
+        with pytest.raises(FocalPointError):
+            level_project(fam, x, float("nan"))
+
+    def test_rejects_nan_start_level(self, monkeypatch):
+        fam = family("cartan1")
+        x = regular_sphere_points(fam, 1, 41)[0]
+        monkeypatch.setattr(spherelevel, "eval_F", lambda P, y: float("nan"))
+        with pytest.raises(FocalPointError):
+            level_project(fam, x, 0.2)
+
+    def test_rejects_nan_landing(self, monkeypatch):
+        fam = family("cartan1")
+        x = regular_sphere_points(fam, 1, 41)[0]
+        monkeypatch.setattr(spherelevel, "landing_arc", lambda *a: float("nan"))
+        with pytest.raises(ProjectionError, match="misses target"):
+            level_project(fam, x, 0.2)
+
+    def test_rejects_nan_path(self, monkeypatch):
+        # F is exact at the start and landing points and NaN along the arc.
+        fam = family("cartan1")
+        x = regular_sphere_points(fam, 1, 41)[0]
+        calls = []
+
+        def eval_f(P, y):
+            calls.append(y)
+            return eval_F(P, y) if len(calls) <= 2 else float("nan")
+
+        monkeypatch.setattr(spherelevel, "eval_F", eval_f)
+        with pytest.raises(ProjectionError, match="normal arc"):
+            level_project(fam, x, 0.2)
 
 
 class TestCsv:
