@@ -444,6 +444,13 @@ def _parse_float_list(text: str, flag: str) -> list:
 
 
 def cmd_riccati(args) -> int:
+    # A non-finite end point cannot be gridded or reported, and zero RK4
+    # steps integrate nothing.
+    for flag, value in (("--t0", args.t0), ("--t1", args.t1)):
+        if not math.isfinite(value):
+            raise ConstructionError(f"{flag} must be finite, got {value}")
+    if args.steps < 1:
+        raise ConstructionError(f"--steps must be at least 1, got {args.steps}")
     seed = _resolve_seed(args)
     kappas = _parse_float_list(args.kappa, "--kappa")
     mu0 = _parse_float_list(args.mu0, "--mu0")

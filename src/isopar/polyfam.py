@@ -39,28 +39,29 @@ CARTAN_ALGEBRA_DIMS = (1, 2, 4, 8)
 
 
 def cd_conj(a):
-    """Cayley-Dickson conjugate on R^1, R^2, R^4, R^8."""
+    """Cayley-Dickson conjugate on R^1, R^2, R^4, R^8, along the last axis."""
     out = -np.asarray(a, dtype=float)
-    out[0] = -out[0]
+    out[..., 0] = -out[..., 0]
     return out
 
 
 def cd_mult(a, b):
-    """Cayley-Dickson product; doubling rule (a1,a2)(b1,b2) =
-    (a1 b1 - conj(b2) a2, b2 a1 + a2 conj(b1))."""
+    """Cayley-Dickson product along the last axis (leading axes broadcast);
+    doubling rule (a1,a2)(b1,b2) = (a1 b1 - conj(b2) a2, b2 a1 + a2 conj(b1))."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = len(a)
+    d = a.shape[-1]
     if d == 1:
         return a * b
     h = d // 2
-    a1, a2 = a[:h], a[h:]
-    b1, b2 = b[:h], b[h:]
+    a1, a2 = a[..., :h], a[..., h:]
+    b1, b2 = b[..., :h], b[..., h:]
     return np.concatenate(
         [
             cd_mult(a1, b1) - cd_mult(cd_conj(b2), a2),
             cd_mult(b2, a1) + cd_mult(a2, cd_conj(b1)),
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -68,12 +69,13 @@ def _cartan_products(m):
     """Structure constants of the m-dimensional Cayley-Dickson algebra:
     (a, b, c, sign) for every basis pair, with e_a e_b = sign * e_c."""
     basis = np.eye(m)
-    table = []
-    for a, b in itertools.product(range(m), repeat=2):
-        prod = cd_mult(basis[a], basis[b])
-        c = int(np.argmax(np.abs(prod)))
-        table.append((a, b, c, float(prod[c])))
-    return table
+    prods = cd_mult(np.repeat(basis, m, axis=0), np.tile(basis, (m, 1)))
+    cs = np.argmax(np.abs(prods), axis=1)
+    signs = prods[np.arange(m * m), cs]
+    return [
+        (a, b, int(c), float(sign))
+        for (a, b), c, sign in zip(itertools.product(range(m), repeat=2), cs, signs)
+    ]
 
 
 def _cartan_tensor(m, products):
@@ -107,30 +109,32 @@ def _cartan_monomials(m, products):
     nvars = 3 * m + 2
     s3 = np.sqrt(3.0)
 
-    def term(*pairs):
+    def term(coeff, *pairs):
         expo = [0] * nvars
         for idx, e in pairs:
             expo[idx] += e
-        return tuple(expo)
+        return tuple(expo), coeff
 
-    f = MonomialForm(nvars)
-    f.add(term((0, 3)), 1.0)
-    f.add(term((0, 1), (1, 2)), -3.0)
+    terms = [term(1.0, (0, 3)), term(-3.0, (0, 1), (1, 2))]
     for a in range(m):
         ix, iy, iz = 2 + a, 2 + m + a, 2 + 2 * m + a
-        f.add(term((0, 1), (ix, 2)), 1.5)
-        f.add(term((0, 1), (iy, 2)), 1.5)
-        f.add(term((0, 1), (iz, 2)), -3.0)
-        f.add(term((1, 1), (ix, 2)), 1.5 * s3)
-        f.add(term((1, 1), (iy, 2)), -1.5 * s3)
+        terms += [
+            term(1.5, (0, 1), (ix, 2)),
+            term(1.5, (0, 1), (iy, 2)),
+            term(-3.0, (0, 1), (iz, 2)),
+            term(1.5 * s3, (1, 1), (ix, 2)),
+            term(-1.5 * s3, (1, 1), (iy, 2)),
+        ]
     # Trilinear part: 3 sqrt3 Re((X Y) Z), with e_a e_b = sign * e_c.
     for a, b, c, sign in products:
         pairing = 1.0 if c == 0 else -1.0
-        f.add(
-            term((2 + a, 1), (2 + m + b, 1), (2 + 2 * m + c, 1)),
-            3.0 * s3 * sign * pairing,
+        terms.append(
+            term(
+                3.0 * s3 * sign * pairing,
+                (2 + a, 1), (2 + m + b, 1), (2 + 2 * m + c, 1),
+            )
         )
-    return f
+    return MonomialForm(nvars, terms)
 
 
 def _fkm_monomials(system: CliffordSystem):
@@ -197,16 +201,15 @@ class IsoPolynomial:
     def _construction_check(self):
         rng = np.random.default_rng(XCHECK_SEED)
         lams = rng.uniform(0.5, 2.0, size=XCHECK_POINTS)
-        for k in range(XCHECK_POINTS):
-            x = rng.standard_normal(self.ambient_dim)
-            x *= 1.5 / max(1.0, np.linalg.norm(x))
+        pts = rng.standard_normal((XCHECK_POINTS, self.ambient_dim))
+        pts *= 1.5 / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+        monos = self._mono(pts)
+        for x, lam, mono in zip(pts, lams, monos):
             closed = eval_F(self, x)
-            mono = self._mono(x)
             if abs(closed - mono) > XCHECK_TOL * max(1.0, abs(closed)):
                 raise ConstructionError(
                     f"closed and monomial forms disagree by {abs(closed - mono):.3e}"
                 )
-            lam = lams[k]
             scaled = eval_F(self, lam * x)
             target = lam**self.g * closed
             if abs(scaled - target) > XCHECK_TOL * max(1.0, abs(target)):

@@ -265,6 +265,24 @@ class TestRiccati:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--t0", "nan"), ("--t0", "-inf"), ("--t1", "inf"), ("--t1", "nan"),
+         ("--steps", "0"), ("--steps", "-5")],
+    )
+    def test_bad_time_grid_is_usage_error(self, capsys, monkeypatch, flag, value):
+        def no_build(jacobi, mu0):
+            raise AssertionError("riccati family built before the grid was checked")
+
+        monkeypatch.setattr(cli, "riccati_family", no_build)
+        code, doc = run_json(
+            capsys, ["riccati", "--kappa", "1", "--mu0", "0.4,-0.2",
+                     f"{flag}={value}"]
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert flag in doc["error"]["message"]
+
     def test_trajectory_csv(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
         code, _ = run_json(

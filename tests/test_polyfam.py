@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isopar import polyfam
 from isopar.errors import ConstructionError, FocalPointError
+from isopar.monomials import MonomialForm
 from isopar.polyfam import (
     cm_residuals,
     delta_H_convert,
@@ -23,6 +25,7 @@ from isopar.polyfam import (
     eval_hessian,
     eval_hessian_monomial,
     _cartan_products,
+    cd_mult,
     hidden_rho_residual,
     make_cartan,
     make_fkm,
@@ -107,6 +110,42 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             make_cartan(3)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: make_cartan(8), lambda: make_ot(3)], ids=["cartan8", "ot3"]
+    )
+    def test_check_evaluates_oracle_once(self, monkeypatch, build):
+        calls = []
+        original = MonomialForm.__call__
+
+        def counted(form, x):
+            calls.append(np.shape(x))
+            return original(form, x)
+
+        monkeypatch.setattr(MonomialForm, "__call__", counted)
+        fam = build()
+        assert calls == [(polyfam.XCHECK_POINTS, fam.ambient_dim)]
+
+    @pytest.mark.parametrize(
+        "oracle,build",
+        [
+            ("_cartan_monomials", lambda: make_cartan(1)),
+            ("_fkm_monomials", lambda: make_fkm(2, 4)),
+        ],
+        ids=["cartan1", "fkm24"],
+    )
+    def test_check_rejects_perturbed_oracle(self, monkeypatch, oracle, build):
+        original = getattr(polyfam, oracle)
+
+        def perturbed(*args):
+            form = original(*args)
+            first = [0] * form.nvars
+            first[0] = form.degree()
+            return form.add(first, 1e-6)
+
+        monkeypatch.setattr(polyfam, oracle, perturbed)
+        with pytest.raises(ConstructionError, match="closed and monomial forms disagree"):
+            build()
+
 
 class TestEvaluationPaths:
     @pytest.mark.parametrize(
@@ -182,6 +221,15 @@ class TestStructureConstants:
                 xy[c] += sign * x[a] * y[b]
             norms = np.linalg.norm(x) * np.linalg.norm(y)
             assert abs(np.linalg.norm(xy) - norms) <= 1e-13 * norms
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_stacked_product_matches_pairwise(self, m):
+        rng = np.random.default_rng(73 + m)
+        a, b = rng.standard_normal((2, 6, m))
+        stacked = cd_mult(a, b)
+        assert stacked.shape == (6, m)
+        for k in range(6):
+            assert np.array_equal(stacked[k], cd_mult(a[k], b[k]))
 
 
 class TestDefiningEquations:
