@@ -29,7 +29,7 @@ from .clifford import (
 )
 from .errors import ConstructionError, FocalPointError
 from .monomials import MonomialForm, norm_square_form, quadratic_form
-from .symmat import SymmetricMatrix, rho_k, sigma_k
+from .symmat import SymmetricMatrix, rho_k, scalar_or_stack, sigma_k
 
 XCHECK_SEED = 20240817
 XCHECK_POINTS = 100
@@ -203,19 +203,21 @@ class IsoPolynomial:
         lams = rng.uniform(0.5, 2.0, size=XCHECK_POINTS)
         pts = rng.standard_normal((XCHECK_POINTS, self.ambient_dim))
         pts *= 1.5 / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
-        monos = self._mono(pts)
-        for x, lam, mono in zip(pts, lams, monos):
-            closed = eval_F(self, x)
-            if abs(closed - mono) > XCHECK_TOL * max(1.0, abs(closed)):
-                raise ConstructionError(
-                    f"closed and monomial forms disagree by {abs(closed - mono):.3e}"
-                )
-            scaled = eval_F(self, lam * x)
-            target = lam**self.g * closed
-            if abs(scaled - target) > XCHECK_TOL * max(1.0, abs(target)):
-                raise ConstructionError(
-                    f"homogeneity violated by {abs(scaled - target):.3e} at lambda={lam}"
-                )
+        closed = eval_F(self, pts)
+        miss = _first_miss(closed, self._mono(pts))
+        if miss is not None:
+            i, dev = miss
+            raise ConstructionError(
+                f"closed and monomial forms disagree by {dev:.3e} (check point {i})"
+            )
+        target = lams**self.g * closed
+        miss = _first_miss(target, eval_F(self, lams[:, None] * pts))
+        if miss is not None:
+            i, dev = miss
+            raise ConstructionError(
+                f"homogeneity violated by {dev:.3e} at lambda={lams[i]} "
+                f"(check point {i})"
+            )
 
     def __repr__(self):
         if self.family == "fkm":
@@ -224,6 +226,17 @@ class IsoPolynomial:
                 f"m=({self.m1},{self.m2}), tag={self.system.tag})"
             )
         return f"IsoPolynomial(cartan, algebra_dim={self.algebra_dim})"
+
+
+def _first_miss(reference, values):
+    """(index, deviation) of the first check point where values leaves
+    reference by more than XCHECK_TOL relative (a NaN misses too), or None."""
+    dev = np.abs(values - reference)
+    miss = ~(dev <= XCHECK_TOL * np.maximum(1.0, np.abs(reference)))
+    if not miss.any():
+        return None
+    i = int(np.argmax(miss))
+    return i, dev[i]
 
 
 def make_cartan(m: int) -> IsoPolynomial:
@@ -240,60 +253,98 @@ def make_ot(r: int) -> IsoPolynomial:
 
 def _check_point(P: IsoPolynomial, x):
     x = np.asarray(x, dtype=float)
-    if x.shape != (P.ambient_dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({P.ambient_dim},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != P.ambient_dim:
+        raise ValueError(
+            f"point has shape {x.shape}, expected ({P.ambient_dim},) "
+            f"or (N, {P.ambient_dim})"
+        )
     return x
 
 
-def eval_F(P: IsoPolynomial, x) -> float:
-    """Value of F at x."""
+# Every kernel takes one point (d,) or a block of samples (N, d) through the
+# same code: vectors enter matmul as (..., 1, d) rows or (..., d, 1) columns,
+# so a row of a block is computed by exactly the BLAS calls that compute the
+# single point, and agrees with it bit for bit.
+
+
+def _dot(a, b):
+    """<a, b> along the last axis."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _apply(m, v):
+    """m v along the last axis of v, leading axes broadcast."""
+    return (m @ v[..., :, None])[..., 0]
+
+
+def point_norm(x):
+    """|x| for one point or each row of a block, as np.linalg.norm(x)
+    computes it for one point."""
+    return scalar_or_stack(np.sqrt(_dot(x, x)))
+
+
+def _fkm_parts(P: IsoPolynomial, x):
+    """|x|^2, the generator images A_p x (..., p, d) and <A_p x, x> (..., p)."""
+    az = _apply(P._generators, x[..., None, :])
+    return _dot(x, x), az, _apply(az, x)
+
+
+def eval_F(P: IsoPolynomial, x):
+    """Value of F at x: a float, or one value per row of an (N, d) block."""
     x = _check_point(P, x)
     if P.family == "fkm":
-        z2 = float(x @ x)
-        q = (P._generators @ x) @ x
-        return z2 * z2 - 2.0 * float(q @ q)
-    return float(x @ (P._tensor @ x) @ x) / 6.0
+        z2, _, q = _fkm_parts(P, x)
+        return scalar_or_stack(z2 * z2 - 2.0 * _dot(q, q))
+    xtx = x[..., None, :] @ _apply(P._tensor, x[..., None, :])
+    return scalar_or_stack(_dot(xtx[..., 0, :], x) / 6.0)
 
 
-def eval_F_monomial(P: IsoPolynomial, x) -> float:
+def eval_F_monomial(P: IsoPolynomial, x):
     """Monomial-form value of F; exact alternate route to eval_F."""
     return P._mono(_check_point(P, x))
 
 
 def eval_grad(P: IsoPolynomial, x) -> np.ndarray:
-    """Ambient gradient DF: from the generator stack for the quartic family,
-    T(x, x)/2 for the cubic; eval_grad_monomial is the oracle."""
+    """Ambient gradient DF, shaped like x: from the generator stack for the
+    quartic family, T(x, x)/2 for the cubic; eval_grad_monomial is the
+    oracle."""
     x = _check_point(P, x)
     if P.family == "fkm":
-        az = P._generators @ x
-        return 4.0 * (float(x @ x) * x - 2.0 * (az @ x) @ az)
-    return (P._tensor @ x) @ x / 2.0
+        z2, az, q = _fkm_parts(P, x)
+        return 4.0 * (z2[..., None] * x - 2.0 * (q[..., None, :] @ az)[..., 0, :])
+    return _apply(_apply(P._tensor, x[..., None, :]), x) / 2.0
 
 
 def eval_grad_monomial(P: IsoPolynomial, x) -> np.ndarray:
     x = _check_point(P, x)
-    return np.array([P._mono.partial(i)(x) for i in range(P.ambient_dim)])
+    return np.stack(
+        [P._mono.partial(i)(x) for i in range(P.ambient_dim)], axis=-1
+    )
 
 
 def eval_hessian(P: IsoPolynomial, x) -> SymmetricMatrix:
-    """Ambient Hessian D^2 F as a SymmetricMatrix."""
+    """Ambient Hessian D^2 F as a SymmetricMatrix, a (N, d, d) stack for a
+    block of samples."""
     x = _check_point(P, x)
     if P.family == "fkm":
-        az = P._generators @ x
-        h = float(x @ x) * np.eye(P.ambient_dim) + 2.0 * np.outer(x, x)
-        h -= 2.0 * np.tensordot(az @ x, P._generators, axes=1) + 4.0 * az.T @ az
+        z2, az, q = _fkm_parts(P, x)
+        dim = P.ambient_dim
+        h = z2[..., None, None] * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :])
+        gens = P._generators.reshape(len(P._generators), dim * dim)
+        qa = (q[..., None, :] @ gens).reshape(x.shape[:-1] + (dim, dim))
+        h -= 2.0 * qa + 4.0 * np.swapaxes(az, -2, -1) @ az
         return SymmetricMatrix(4.0 * h)
-    return SymmetricMatrix(P._tensor @ x)
+    return SymmetricMatrix(_apply(P._tensor, x[..., None, :]))
 
 
 def eval_hessian_monomial(P: IsoPolynomial, x) -> SymmetricMatrix:
     x = _check_point(P, x)
     dim = P.ambient_dim
-    h = np.zeros((dim, dim))
+    h = np.zeros(x.shape[:-1] + (dim, dim))
     for i in range(dim):
         grad_form = P._mono.partial(i)
         for j in range(i, dim):
-            h[i, j] = h[j, i] = grad_form.partial(j)(x)
+            h[..., i, j] = h[..., j, i] = grad_form.partial(j)(x)
     return SymmetricMatrix(h)
 
 
@@ -321,39 +372,47 @@ def profile_of(P: IsoPolynomial) -> TransnormalProfile:
     return TransnormalProfile(g=P.g, n=P.n, m1=P.m1, m2=P.m2)
 
 
+def _nonzero_radius(x):
+    radius = point_norm(x)
+    zero = np.asarray(radius) == 0.0
+    if zero.any():
+        where = f" (row {np.argmax(zero)})" if np.ndim(x) == 2 else ""
+        raise ValueError(f"x must be nonzero{where}")
+    return radius
+
+
 def cm_residuals(P: IsoPolynomial, x):
     """Residuals of the two defining differential equations at ambient x:
-    (|DF|^2 - g^2 |x|^(2g-2),  tr D^2F - (g^2/2)(m2 - m1) |x|^(g-2))."""
+    (|DF|^2 - g^2 |x|^(2g-2),  tr D^2F - (g^2/2)(m2 - m1) |x|^(g-2)),
+    floats for one point, one value per row of an (N, d) block."""
     x = _check_point(P, x)
-    radius = float(np.linalg.norm(x))
-    if radius == 0.0:
-        raise ValueError("x must be nonzero")
+    radius = _nonzero_radius(x)
     grad = eval_grad(P, x)
     g = P.g
-    res_grad = float(grad @ grad) - g * g * radius ** (2 * g - 2)
-    res_lap = float(np.trace(eval_hessian(P, x).entries)) - 0.5 * g * g * (
+    res_grad = _dot(grad, grad) - g * g * radius ** (2 * g - 2)
+    res_lap = eval_hessian(P, x).trace() - 0.5 * g * g * (
         P.m2 - P.m1
     ) * radius ** (g - 2)
-    return res_grad, res_lap
+    return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
 
 
-def delta_k(P: IsoPolynomial, x, k: int) -> float:
-    """k-th elementary symmetric function of the ambient Hessian at x."""
+def delta_k(P: IsoPolynomial, x, k: int):
+    """k-th elementary symmetric function of the ambient Hessian at x (one
+    value per row of an (N, d) block)."""
     if not 1 <= k <= P.ambient_dim:
         raise ValueError(f"k = {k} out of range [1, {P.ambient_dim}]")
     return sigma_k(eval_hessian(P, x), k)
 
 
-def hidden_rho_residual(P: IsoPolynomial, x, k: int) -> float:
-    """Residual of the closed form for rho_k(D^2 F), k in {2, 3, 4}.
+def hidden_rho_residual(P: IsoPolynomial, x, k: int):
+    """Residual of the closed form for rho_k(D^2 F), k in {2, 3, 4}; one
+    value per row of an (N, d) block.
 
     The k = 4 expression is stated for n >= 4; for smaller families it is
     evaluated exactly as written and the residual simply reported.
     """
     x = _check_point(P, x)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("x must be nonzero")
+    r = _nonzero_radius(x)
     g, n = float(P.g), float(P.n)
     dm = float(P.m2 - P.m1)
     F = eval_F(P, x)
@@ -380,7 +439,7 @@ def hidden_rho_residual(P: IsoPolynomial, x, k: int) -> float:
         )
     else:
         raise ValueError(f"closed forms available for k in (2, 3, 4), got {k}")
-    return float(direct - closed)
+    return scalar_or_stack(direct - closed)
 
 
 def delta_H_convert(values, profile: TransnormalProfile, f: float, direction: str):

@@ -16,8 +16,15 @@ from functools import partial
 import numpy as np
 
 from .errors import ConditioningError, FocalPointError, ProjectionError
-from .polyfam import IsoPolynomial, eval_F, eval_grad, eval_hessian, profile_of
-from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k
+from .polyfam import (
+    IsoPolynomial,
+    eval_F,
+    eval_grad,
+    eval_hessian,
+    point_norm,
+    profile_of,
+)
+from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k, scalar_or_stack
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
@@ -37,50 +44,61 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
 
 def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
     """Unit-sphere samples with |F| <= f_bound, redrawing per-index substreams
-    so the result is reproducible and independent of rejection counts."""
+    (i, attempt) so the result is reproducible and independent of rejection
+    counts. Each attempt round gates every pending index with one eval_F."""
     pts = np.empty((count, P.ambient_dim))
-    for i in range(count):
-        for attempt in range(64):
+    pending = np.arange(count)
+    for attempt in range(64):
+        if not pending.size:
+            return pts
+        for i in pending:
             rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(i, attempt))
+                np.random.SeedSequence(seed, spawn_key=(int(i), attempt))
             )
             v = rng.standard_normal(P.ambient_dim)
-            v /= np.linalg.norm(v)
-            if abs(eval_F(P, v)) <= f_bound:
-                pts[i] = v
-                break
-        else:
-            raise FocalPointError("could not draw a point away from the focal bands")
+            pts[i] = v / np.linalg.norm(v)
+        pending = pending[~(np.abs(eval_F(P, pts[pending])) <= f_bound)]
+    if pending.size:
+        raise FocalPointError("could not draw a point away from the focal bands")
     return pts
 
 
 def orthonormal_complement(vectors, dim: int) -> np.ndarray:
-    """Orthonormal rows spanning the complement of the given rows.
+    """Orthonormal rows spanning the complement of the given rows, (k, dim)
+    in and (dim - k, dim) out, or a stack (..., k, dim) in and out.
 
     The trailing dim - k columns of the complete Householder QR of the k
-    input columns (LAPACK, deterministic). Raises ConditioningError when the
-    input rows are rank-deficient (min |diag R| below 1e-8).
+    input columns (LAPACK, deterministic, one stacked call). Raises
+    ConditioningError when the input rows of any member are rank-deficient
+    (min |diag R| below 1e-8).
     """
     v = np.asarray(vectors, dtype=float)
-    k = v.shape[0]
-    q, r = np.linalg.qr(v.T, mode="complete")
-    gap = float(np.min(np.abs(np.diag(r))))
-    if not gap >= 1e-8:
-        raise ConditioningError("rank-deficient input rows", gap=gap)
-    return q[:, k:].T
+    k = v.shape[-2]
+    q, r = np.linalg.qr(np.swapaxes(v, -2, -1), mode="complete")
+    gaps = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1)
+    bad = ~(gaps >= 1e-8)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" (member {i} of the stack)" if v.ndim > 2 else ""
+        raise ConditioningError(
+            f"rank-deficient input rows{where}", gap=float(np.ravel(gaps)[i])
+        )
+    return np.swapaxes(q[..., :, k:], -2, -1)
 
 
-def _spherical_normal(P: IsoPolynomial, x, f: float, df):
+def _spherical_normal(P: IsoPolynomial, x, f, df):
     """Spherical gradient df - g f x of f = F|_S at unit x (Euler: DF.x = gF),
-    its norm and the unit normal nu of the level set."""
-    grad_sph = df - P.g * f * x
-    grad_norm = float(np.linalg.norm(grad_sph))
-    return grad_sph, grad_norm, grad_sph / grad_norm
+    its norm and the unit normal nu of the level set; x may be a block."""
+    grad_sph = df - np.multiply(P.g, f)[..., None] * x
+    grad_norm = point_norm(grad_sph)
+    return grad_sph, grad_norm, grad_sph / np.asarray(grad_norm)[..., None]
 
 
 @dataclass(frozen=True)
 class SpherePointFrame:
-    """Adapted data at a regular point x of the unit sphere.
+    """Adapted data at a regular point x of the unit sphere, or a stack of
+    frames at the rows of an (N, d) block (every field then gains the
+    leading sample axis).
 
     df and d2f are the ambient DF and D^2F at x, evaluated once; every
     derived quantity reads them. tangent_basis: n orthonormal rows spanning
@@ -103,55 +121,90 @@ class SpherePointFrame:
     shape: SymmetricMatrix = field(init=False)
 
     def __post_init__(self):
-        n = len(self.tangent_basis)
-        hess_sph = self.hessian_in(np.vstack([self.tangent_basis, self.nu]))
+        n = self.tangent_basis.shape[-2]
+        hess_sph = self.hessian_in(
+            np.concatenate([self.tangent_basis, self.nu[..., None, :]], axis=-2)
+        )
         object.__setattr__(self, "hessian_sph", SymmetricMatrix(hess_sph))
         object.__setattr__(
-            self, "shape", SymmetricMatrix(-hess_sph[:n, :n] / self.grad_norm)
+            self, "shape",
+            SymmetricMatrix(-hess_sph[..., :n, :n] / _stacked(self.grad_norm)),
         )
 
     def hessian_in(self, rows) -> np.ndarray:
         """Spherical Hessian of f on orthonormal rows tangent to the sphere
         at the point: rows D^2F rows^T - g f I."""
-        return rows @ self.d2f @ rows.T - self.profile.g * self.f * np.eye(len(rows))
+        k = rows.shape[-2]
+        return rows @ self.d2f @ np.swapaxes(rows, -2, -1) - _stacked(
+            np.multiply(self.profile.g, self.f)
+        ) * np.eye(k)
 
     def residuals(self) -> dict:
-        """Max-abs residuals of the frame invariants."""
+        """Max-abs residuals of the frame invariants (over the whole stack)."""
         n = self.shape.order
         hs = self.hessian_sph.entries
-        return {
-            "unit-point": abs(float(np.linalg.norm(self.point)) - 1.0),
-            "grad-tangency": abs(float(self.grad_sph @ self.point)),
-            "mixed-row": float(np.max(np.abs(hs[:n, n]))),
-            "normal-entry": abs(hs[n, n] - 0.5 * self.profile.b_prime(self.f)),
-            "gradient-profile": abs(self.grad_norm**2 - self.profile.b(self.f)),
+        f = np.asarray(self.f)
+        res = {
+            "unit-point": np.abs(point_norm(self.point) - 1.0),
+            "grad-tangency": np.abs(
+                (self.grad_sph[..., None, :] @ self.point[..., :, None])[..., 0, 0]
+            ),
+            "mixed-row": np.abs(hs[..., :n, n]),
+            "normal-entry": np.abs(hs[..., n, n] - 0.5 * self.profile.b_prime(f)),
+            "gradient-profile": np.abs(
+                np.asarray(self.grad_norm) ** 2 - self.profile.b(f)
+            ),
         }
+        return {key: float(np.max(value)) for key, value in res.items()}
+
+
+def _stacked(value):
+    """A per-sample scalar (or a stack of them) shaped to scale matrices."""
+    return np.asarray(value)[..., None, None]
+
+
+def _first_bad(ok, x):
+    """Index phrase for the first sample failing ok (None when all pass)."""
+    bad = ~np.asarray(ok)
+    if not bad.any():
+        return None
+    return f" (sample {np.argmax(bad)})" if np.ndim(x) == 2 else ""
 
 
 def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
-    """Build the adapted frame at a unit vector x on a regular level.
+    """Build the adapted frame at a unit vector x on a regular level, or the
+    frame stack at every row of an (N, d) block.
 
     The one evaluation of DF and D^2F at x; the Hopf layer reads the frame.
+    Any non-unit or focal row raises, naming the row.
     """
     x = np.asarray(x, dtype=float)
-    if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12:
-        raise ValueError("x must lie on the unit sphere to 1e-12")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"point has shape {x.shape}, expected (d,) or (N, d)")
+    where = _first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12, x)
+    if where is not None:
+        raise ValueError(f"x must lie on the unit sphere to 1e-12{where}")
     f = eval_F(P, x)
-    if not abs(f) <= 1.0 - EPS_FOCAL:
+    inside = np.abs(f) <= 1.0 - EPS_FOCAL
+    where = _first_bad(inside, x)
+    if where is not None:
+        level = float(np.ravel(f)[np.argmax(~inside)])
         raise FocalPointError(
-            f"level f = {f:.6f} is inside the focal band", level=f
+            f"level f = {level:.6f} is inside the focal band{where}", level=level
         )
     df = eval_grad(P, x)
     grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
         point=x,
-        f=float(f),
+        f=f,
         df=df,
         d2f=eval_hessian(P, x).entries,
         grad_sph=grad_sph,
         grad_norm=grad_norm,
         nu=nu,
-        tangent_basis=orthonormal_complement(np.vstack([x, nu]), P.ambient_dim),
+        tangent_basis=orthonormal_complement(
+            np.stack([x, nu], axis=-2), P.ambient_dim
+        ),
         profile=profile_of(P),
     )
 
@@ -369,7 +422,8 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
 
     F(cos s x + sin s nu) = cos(g (tau0 - s)) on the normal arc, so the
     landing arc is closed form. Both the landing level and, at 20
-    intermediate arcs, the whole path are then verified through eval_F.
+    intermediate arcs in one block, the whole path are then verified
+    through eval_F.
     """
     x = np.asarray(x, dtype=float)
     if not abs(t_target) <= 1.0 - EPS_FOCAL:
@@ -389,11 +443,11 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
         raise ProjectionError(
             f"projected level misses target by {level_residual:.3e}"
         )
-    # np.max, unlike the builtin max, carries a NaN through to the gate.
-    path_residual = np.max([
-        abs(eval_F(P, np.cos(s) * x + np.sin(s) * nu) - np.cos(P.g * (tau0 - s)))
-        for s in np.linspace(min(0.0, arc), max(0.0, arc), 20)
-    ])
+    # One eval_F on the (20, d) arc stack; np.max, unlike the builtin max,
+    # carries a NaN through to the gate.
+    s = np.linspace(min(0.0, arc), max(0.0, arc), 20)
+    arcs = np.cos(s)[:, None] * x + np.sin(s)[:, None] * nu
+    path_residual = np.max(np.abs(eval_F(P, arcs) - np.cos(P.g * (tau0 - s))))
     if not path_residual <= PROJECTION_TOL:
         raise ProjectionError(
             f"normal arc leaves cos(g (tau0 - s)) by {path_residual:.3e}"
@@ -406,12 +460,13 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
 
 def transnormal_residuals(P: IsoPolynomial, x):
     """Residuals of the spherical profile equations at unit x:
-    (|grad f|^2 - b(f),  Delta f - a(f))."""
+    (|grad f|^2 - b(f),  Delta f - a(f)), floats for one point, one value
+    per row of an (N, d) block."""
     frame = frame_at(P, x)
     prof = frame.profile
-    res_grad = frame.grad_norm**2 - prof.b(frame.f)
+    res_grad = np.asarray(frame.grad_norm) ** 2 - prof.b(frame.f)
     res_lap = frame.hessian_sph.trace() - prof.a(frame.f)
-    return float(res_grad), float(res_lap)
+    return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
 
 
 def write_recurrence_csv(path, g, m1, m2, t_values, k_max=6):

@@ -25,32 +25,45 @@ NODE_GAP_MIN = 1e-8
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Dense real symmetric matrix; entries are symmetrized at construction.
+    """Dense real symmetric matrix, or a stack of them with shape
+    (..., n, n); entries are symmetrized at construction.
 
     Rejects input whose asymmetry exceeds roundoff scale instead of silently
-    averaging away a bug.
+    averaging away a bug; the gate is judged per matrix of a stack.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        skew = float(np.max(np.abs(a - a.T)))
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if skew > 1e-8 * scale:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {skew:.3e}")
-        sym = (a + a.T) / 2.0
+        at = np.swapaxes(a, -2, -1)
+        skew = np.abs(a - at).max(axis=(-2, -1))
+        bad = skew > 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
+            raise ValueError(
+                f"matrix is not symmetric: max asymmetry "
+                f"{np.ravel(skew)[i]:.3e}{where}"
+            )
+        sym = (a + at) / 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
     @property
     def order(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
+    def trace(self):
+        """tr M: a float, or one value per matrix of a stack."""
+        return scalar_or_stack(np.trace(self.entries, axis1=-2, axis2=-1))
+
+
+def scalar_or_stack(value):
+    """A Python float for one matrix or point, the array itself for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -91,10 +104,10 @@ class Spectrum:
 
 
 def eigh(matrix):
-    """Eigenvalues of a symmetric matrix, descending, and the eigenvector
-    columns in that order (LAPACK through np.linalg.eigh)."""
+    """Eigenvalues of a symmetric matrix (or a stack), descending, and the
+    eigenvector columns in that order (LAPACK through np.linalg.eigh)."""
     w, v = np.linalg.eigh(matrix)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 # bench/spans.py traces the eigensolve under this name.
@@ -108,24 +121,26 @@ def eigensolve(M: SymmetricMatrix) -> Spectrum:
 
 
 def _elementary_from_values(values, k):
-    # e[j] accumulates the degree-j elementary symmetric function; the slice
-    # RHS is materialized before the in-place add, so order is safe.
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for lam in values:
-        e[1 : k + 1] += lam * e[0:k]
+    # e[..., j] accumulates the degree-j elementary symmetric function of the
+    # last axis; the slice RHS is materialized before the in-place add, so
+    # order is safe.
+    e = np.zeros(values.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for j in range(values.shape[-1]):
+        e[..., 1 : k + 1] += values[..., j, None] * e[..., 0:k]
     return e
 
 
-def sigma_k(M: SymmetricMatrix, k: int) -> float:
-    """Elementary symmetric function of the eigenvalues, sigma_0 = 1."""
+def sigma_k(M: SymmetricMatrix, k: int):
+    """Elementary symmetric function of the eigenvalues, sigma_0 = 1; one
+    value per matrix of a stack."""
     n = M.order
     if not 0 <= k <= n:
         raise ValueError(f"k = {k} out of range [0, {n}]")
     if k == 0:
-        return 1.0
+        return scalar_or_stack(np.ones(M.entries.shape[:-2]))
     w, _ = eigh(M.entries)
-    return float(_elementary_from_values(w, k)[k])
+    return scalar_or_stack(_elementary_from_values(w, k)[..., k])
 
 
 def sigma_k_minor_sum(M: SymmetricMatrix, k: int) -> float:
@@ -146,17 +161,18 @@ def sigma_k_minor_sum(M: SymmetricMatrix, k: int) -> float:
     return total
 
 
-def rho_k(M: SymmetricMatrix, k: int) -> float:
-    """Power sum of the eigenvalues, tr(M^k); rho_0 = order."""
+def rho_k(M: SymmetricMatrix, k: int):
+    """Power sum of the eigenvalues, tr(M^k); rho_0 = order. One value per
+    matrix of a stack; any non-finite value raises."""
     if k < 0:
         raise ValueError(f"k = {k} must be nonnegative")
-    n = M.order
+    stack = M.entries.shape[:-2]
     if k == 0:
-        return float(n)
-    value = float(np.trace(np.linalg.matrix_power(M.entries, k)))
-    if not np.isfinite(value):
+        return scalar_or_stack(np.full(stack, float(M.order)))
+    value = np.trace(np.linalg.matrix_power(M.entries, k), axis1=-2, axis2=-1)
+    if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"rho_{k} overflowed to a non-finite value")
-    return value
+    return scalar_or_stack(value)
 
 
 def newton_sigma_from_rho(rho, n: int):

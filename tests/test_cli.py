@@ -10,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from isopar import cli, errors, spherelevel
+from isopar import cli, errors, polyfam, spherelevel
 
 
 def run(capsys, argv):
@@ -148,6 +149,87 @@ class TestVerifyHidden:
         assert row["tolerance"] is None
 
 
+class TestSampleBlocks:
+    """verify-cm and verify-hidden evaluate their samples in blocks."""
+
+    # two full blocks and a partial one
+    SAMPLES = 2 * cli._SAMPLE_BLOCK + 3
+
+    @pytest.mark.parametrize(
+        "argv,sampler,kernel",
+        [
+            (["verify-cm", "--family", "fkm", "--m", "2", "--r", "4"],
+             "_ball_points", "cm_residuals"),
+            (["verify-cm", "--family", "cartan", "--m", "2"],
+             "regular_sphere_points", "transnormal_residuals"),
+            (["verify-hidden", "--family", "ot", "--r", "1", "--k", "2,3"],
+             "_ball_points", "hidden_rho_residual"),
+            (["verify-hidden", "--family", "cartan", "--m", "1", "--k", "2"],
+             "_ball_points", "delta_k"),
+        ],
+        ids=["cm-ambient", "cm-sphere", "hidden-rho", "hidden-delta"],
+    )
+    def test_perturbed_last_sample_fails(self, capsys, monkeypatch, argv, sampler, kernel):
+        # The kernel reports a residual of 1 at the last sample the sampler
+        # draws and nowhere else; the run must see it.
+        last, hits = [], []
+        draw, evaluate = getattr(cli, sampler), getattr(cli, kernel)
+
+        def marking(*args, **kwargs):
+            pts = draw(*args, **kwargs)
+            last.append(pts[-1].copy())
+            return pts
+
+        def perturbed(P, x, *rest):
+            out = evaluate(P, x, *rest)
+            hit = np.all(np.asarray(x) == last[-1], axis=-1)
+            hits.append((len(x), int(np.sum(hit)), int(np.argmax(hit))))
+            if isinstance(out, tuple):
+                return tuple(part + hit for part in out)
+            return out + hit
+
+        monkeypatch.setattr(cli, sampler, marking)
+        monkeypatch.setattr(cli, kernel, perturbed)
+        code, doc = run_json(capsys, argv + ["--samples", str(self.SAMPLES)])
+        assert code == 1
+        assert doc["pass"] is False
+        failed = [row for row in doc["details"]
+                  if row["tolerance"] is not None and row["residual"] > row["tolerance"]]
+        assert failed
+        # the last sample sits at the end of a partial block
+        assert (3, 1, 2) in hits
+        assert all(count == 0 for size, count, _ in hits if size != 3)
+
+    def test_unperturbed_blocks_pass(self, capsys):
+        code, doc = run_json(
+            capsys, ["verify-hidden", "--family", "ot", "--r", "1", "--k", "2,3",
+                     "--samples", str(self.SAMPLES)]
+        )
+        assert code == 0
+        assert doc["samples"] == self.SAMPLES
+
+    def test_hessian_calls_per_block(self, capsys, monkeypatch):
+        calls = []
+        original = polyfam.eval_hessian
+
+        def counted(P, x):
+            calls.append(np.shape(x))
+            return original(P, x)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "isopar" and getattr(
+                module, "eval_hessian", None
+            ) is original:
+                monkeypatch.setattr(module, "eval_hessian", counted)
+        code, _ = run(capsys, ["verify-cm", "--family", "cartan", "--m", "1",
+                               "--samples", "200"])
+        assert code == 0
+        blocks = -(-200 // cli._SAMPLE_BLOCK)
+        assert len(calls) <= 2 * blocks
+        # every sample is evaluated once by each half of the suite
+        assert sum(shape[0] for shape in calls) == 2 * 200
+
+
 class TestAlphaScan:
     def test_fkm_witnesses_present(self, capsys):
         code, doc = run_json(
@@ -198,6 +280,19 @@ class TestAlphaScan:
         lines = (tmp_path / "scan-alpha.csv").read_text().splitlines()
         assert lines[0] == "index,level,alpha,omega,l"
         assert len(lines) == 11
+
+    def test_repeated_levels_do_not_leak_into_the_next_call(self, capsys):
+        # The parser is built once per process; the append action must
+        # still start every call from an empty list.
+        base = ["alpha-scan", "--family", "fkm", "--m", "1", "--r", "3",
+                "--samples", "3"]
+        code, doc = run_json(capsys, base + ["--level", "0.2", "--level", "0.4"])
+        assert code == 0
+        assert doc["params"]["levels"] == "0.2,0.4"
+        code, doc = run_json(capsys, base)
+        assert code == 0
+        assert doc["params"]["levels"] == "0"
+        assert [stats["level"] for stats in doc["alpha"]] == [0.0]
 
     def test_mismatched_action_is_usage_error(self, capsys):
         code, doc = run_json(
@@ -385,7 +480,9 @@ class TestReportContract:
 
     def test_library_error_is_json_not_traceback(self, capsys, monkeypatch):
         # Every sample now sits on a focal level, so the sampler gives up.
-        monkeypatch.setattr(spherelevel, "eval_F", lambda P, x: 1.0)
+        monkeypatch.setattr(
+            spherelevel, "eval_F", lambda P, x: np.ones(np.shape(x)[:-1])
+        )
         code = cli.main(["verify-cm", "--family", "cartan", "--m", "1",
                          "--samples", "3"])
         captured = capsys.readouterr()
@@ -394,6 +491,9 @@ class TestReportContract:
         assert doc["pass"] is False
         assert doc["error"]["type"] == "FocalPointError"
         assert "Traceback" not in captured.out + captured.err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_params_are_sorted(self, capsys):
         _, doc = run_json(

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from isopar import polyfam
+from isopar import hopf, polyfam
 from isopar.clifford import J_BLOCK, J_LEFT, J_RIGHT, build_complex_structure
 from isopar.errors import InvarianceError, UnsupportedPairError
 from isopar.hopf import (
@@ -69,6 +69,34 @@ class TestInvariance:
         assert s1_invariance_residual(fam, J, samples=20, seed=7) > 0.1
         with pytest.raises(InvarianceError):
             HopfContext(fam, J)
+
+    def test_residual_evaluates_two_blocks(self, monkeypatch):
+        # the z and w points of every seeded (z, theta) pair, one block each
+        fam = make_fkm(2, 4)
+        J = build_complex_structure(J_RIGHT, 8)
+        calls = []
+
+        def counted(P, x):
+            calls.append(np.shape(x))
+            return eval_F(P, x)
+
+        expected = 0.0
+        for i in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(i,)))
+            z = rng.standard_normal(8)
+            z /= np.linalg.norm(z)
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            w = np.cos(theta) * z + np.sin(theta) * (J.matrix @ z)
+            expected = max(expected, abs(eval_F(fam, w) - eval_F(fam, z)))
+        monkeypatch.setattr(hopf, "eval_F", counted)
+        res = s1_invariance_residual(fam, J, samples=20, seed=7)
+        assert calls == [(20, 8), (20, 8)]
+        assert res == pytest.approx(expected, rel=1e-13)
+
+    def test_nan_residual_rejected(self, monkeypatch):
+        monkeypatch.setattr(hopf, "eval_F", lambda P, x: np.full(len(x), np.nan))
+        with pytest.raises(InvarianceError):
+            HopfContext(make_fkm(1, 3), build_complex_structure(J_BLOCK, 6))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -115,15 +115,24 @@ class TestConstruction:
     )
     def test_check_evaluates_oracle_once(self, monkeypatch, build):
         calls = []
+        closed_calls = []
         original = MonomialForm.__call__
+        original_closed = polyfam.eval_F
 
         def counted(form, x):
             calls.append(np.shape(x))
             return original(form, x)
 
+        def counted_closed(P, x):
+            closed_calls.append(np.shape(x))
+            return original_closed(P, x)
+
         monkeypatch.setattr(MonomialForm, "__call__", counted)
+        monkeypatch.setattr(polyfam, "eval_F", counted_closed)
         fam = build()
         assert calls == [(polyfam.XCHECK_POINTS, fam.ambient_dim)]
+        # the check points and their scaled copies, one block each
+        assert closed_calls == 2 * [(polyfam.XCHECK_POINTS, fam.ambient_dim)]
 
     @pytest.mark.parametrize(
         "oracle,build",
@@ -143,7 +152,11 @@ class TestConstruction:
             return form.add(first, 1e-6)
 
         monkeypatch.setattr(polyfam, oracle, perturbed)
-        with pytest.raises(ConstructionError, match="closed and monomial forms disagree"):
+        # x_0^g at the first check point carries the perturbation
+        with pytest.raises(
+            ConstructionError,
+            match=r"closed and monomial forms disagree by .* \(check point 0\)",
+        ):
             build()
 
 
@@ -206,6 +219,99 @@ class TestEvaluationPaths:
         assert eval_F(fam, lam * x) == pytest.approx(
             lam**4 * eval_F(fam, x), rel=1e-9
         )
+
+
+def _stacked(values):
+    return np.array([v.entries if hasattr(v, "entries") else v for v in values])
+
+
+class TestBatchedKernels:
+    """A block of samples (N, d) goes through the same kernels as one point."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
+    def test_block_matches_pointwise(self, name):
+        fam = family(name)
+        pts = seeded_points(fam.ambient_dim, 23, 83)
+        for kernel, batched in [
+            (eval_F, lambda x: eval_F(fam, x)),
+            (eval_grad, lambda x: eval_grad(fam, x)),
+            (eval_hessian, lambda x: eval_hessian(fam, x).entries),
+        ]:
+            block = batched(pts)
+            pointwise = _stacked([kernel(fam, x) for x in pts])
+            assert block.shape == pointwise.shape
+            assert np.allclose(block, pointwise, rtol=1e-13, atol=1e-13), kernel
+
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
+    def test_block_closed_vs_monomial(self, name):
+        fam = family(name)
+        pts = seeded_points(fam.ambient_dim, 12, 89)
+        assert np.allclose(
+            eval_F(fam, pts), eval_F_monomial(fam, pts), rtol=1e-13, atol=1e-13
+        )
+        assert np.allclose(
+            eval_grad(fam, pts), eval_grad_monomial(fam, pts), rtol=1e-13, atol=1e-13
+        )
+        assert np.allclose(
+            eval_hessian(fam, pts).entries,
+            eval_hessian_monomial(fam, pts).entries,
+            rtol=1e-13, atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_residual_kernels_match_pointwise(self, name):
+        # A residual is a difference of terms; block and point may round
+        # the radius powers differently, so agreement is relative to the
+        # terms, not to the residual.
+        fam = family(name)
+        pts = seeded_points(fam.ambient_dim, 9, 97)
+        hess = eval_hessian(fam, pts)
+
+        def agree(block, pointwise, terms):
+            gap = np.abs(np.asarray(block) - np.asarray(pointwise))
+            assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(terms)))
+
+        grad, lap = cm_residuals(fam, pts)
+        pointwise = np.array([cm_residuals(fam, x) for x in pts])
+        r = np.linalg.norm(pts, axis=1)
+        agree(grad, pointwise[:, 0], fam.g**2 * r ** (2 * fam.g - 2))
+        agree(lap, pointwise[:, 1], np.abs(hess.entries).sum(axis=(1, 2)))
+        for k in (2, 3, 4):
+            agree(
+                hidden_rho_residual(fam, pts, k),
+                [hidden_rho_residual(fam, x, k) for x in pts],
+                rho_k(hess, k),
+            )
+        for k in (1, 2, 3):
+            assert np.allclose(
+                delta_k(fam, pts, k), [delta_k(fam, x, k) for x in pts],
+                rtol=1e-13, atol=1e-13,
+            )
+
+    def test_single_point_returns_scalars(self):
+        fam = family("fkm24")
+        x = seeded_points(8, 1, 101)[0]
+        assert isinstance(eval_F(fam, x), float)
+        assert all(isinstance(v, float) for v in cm_residuals(fam, x))
+        assert isinstance(hidden_rho_residual(fam, x, 2), float)
+        assert isinstance(delta_k(fam, x, 2), float)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 1), (2, 3, 5), (0,)])
+    def test_wrong_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            eval_F(family("cartan1"), np.ones(shape))
+
+    def test_zero_row_is_named(self):
+        pts = seeded_points(5, 4, 103)
+        pts[2] = 0.0
+        with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
+            cm_residuals(family("cartan1"), pts)
+        with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
+            hidden_rho_residual(family("cartan1"), pts, 2)
 
 
 class TestStructureConstants:

@@ -7,7 +7,7 @@ import pytest
 
 from isopar import spherelevel
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
-from isopar.polyfam import eval_F, make_cartan, make_fkm, make_ot
+from isopar.polyfam import eval_F, eval_grad, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
     MunznerSpectrum,
     frame_at,
@@ -59,6 +59,38 @@ class TestSampling:
         for x in pts:
             assert abs(eval_F(fam, x)) <= 0.8
 
+    def test_regular_points_keep_per_index_streams(self):
+        # The sample at index i is the first (i, attempt) draw inside the
+        # bound, whatever the other indices needed.
+        fam = family("cartan1")
+        bound = 0.5
+        pts = regular_sphere_points(fam, 12, 13, f_bound=bound)
+        for i, x in enumerate(pts):
+            for attempt in range(64):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(13, spawn_key=(i, attempt))
+                )
+                v = rng.standard_normal(5)
+                v /= np.linalg.norm(v)
+                if abs(eval_F(fam, v)) <= bound:
+                    break
+            assert np.array_equal(x, v)
+
+    def test_regular_points_one_eval_per_round(self, monkeypatch):
+        fam = family("cartan1")
+        calls = []
+
+        def counted(P, x):
+            calls.append(np.shape(x))
+            return eval_F(P, x)
+
+        monkeypatch.setattr(spherelevel, "eval_F", counted)
+        regular_sphere_points(fam, 20, 13, f_bound=0.5)
+        assert calls[0] == (20, 5)
+        # every round only re-draws the indices still pending
+        assert all(a[0] >= b[0] for a, b in zip(calls, calls[1:]))
+        assert len(calls) < 20
+
     def test_exhausted_redraws_raise_focal_point_error(self):
         with pytest.raises(FocalPointError, match="focal bands"):
             regular_sphere_points(family("cartan1"), 1, 11, f_bound=-1.0)
@@ -91,6 +123,92 @@ class TestOrthonormalComplement:
     def test_nan_rows_raise(self):
         with pytest.raises(ConditioningError, match="rank-deficient"):
             orthonormal_complement(np.full((2, 6), np.nan), 6)
+
+
+class TestFrameStacks:
+    """frame_at and orthonormal_complement on a block of points."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_stack_matches_pointwise(self, name):
+        fam = family(name)
+        pts = regular_sphere_points(fam, 9, 23)
+        stack = frame_at(fam, pts)
+        frames = [frame_at(fam, x) for x in pts]
+        for key in ("point", "f", "df", "d2f", "grad_sph", "grad_norm", "nu",
+                    "tangent_basis"):
+            expected = np.array([getattr(fr, key) for fr in frames])
+            assert np.allclose(getattr(stack, key), expected, rtol=1e-13, atol=1e-13), key
+        for key in ("hessian_sph", "shape"):
+            expected = np.array([getattr(fr, key).entries for fr in frames])
+            assert np.allclose(
+                getattr(stack, key).entries, expected, rtol=1e-13, atol=1e-13
+            ), key
+        for key, value in stack.residuals().items():
+            assert value < 1e-10, (key, value)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_transnormal_stack_matches_pointwise(self, name):
+        fam = family(name)
+        pts = regular_sphere_points(fam, 9, 29)
+        res_grad, res_lap = transnormal_residuals(fam, pts)
+        pointwise = np.array([transnormal_residuals(fam, x) for x in pts])
+        assert np.allclose(res_grad, pointwise[:, 0], rtol=1e-13, atol=1e-13)
+        assert np.allclose(res_lap, pointwise[:, 1], rtol=1e-13, atol=1e-13)
+
+    def test_focal_row_raises(self):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 4, 31)
+        pts[2] = [1.0, 0.0, 0.0, 0.0, 0.0]  # F = u^3 = 1: a focal point
+        with pytest.raises(FocalPointError, match=r"sample 2") as info:
+            frame_at(fam, pts)
+        assert info.value.level == pytest.approx(1.0)
+
+    def test_non_unit_row_raises(self):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 4, 31)
+        pts[3] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=r"unit sphere.*sample 3"):
+            frame_at(fam, pts)
+
+    def test_nan_row_raises(self):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 4, 31)
+        pts[0] = np.nan
+        with pytest.raises(ValueError, match=r"unit sphere.*sample 0"):
+            frame_at(fam, pts)
+
+    def test_critical_row_raises_conditioning_error(self, monkeypatch):
+        # A radial gradient at one row leaves no spherical normal there, so
+        # its (x, nu) pair cannot be completed to a frame.
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 4, 31)
+
+        def radial_at_row_1(P, x):
+            df = eval_grad(P, x)
+            df[1] = P.g * eval_F(P, x[1]) * x[1]
+            return df
+
+        monkeypatch.setattr(spherelevel, "eval_grad", radial_at_row_1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConditioningError, match="member 1 of the stack"):
+                frame_at(fam, pts)
+
+    def test_complement_stack_matches_members(self):
+        rng = np.random.default_rng(37)
+        vecs = np.array(
+            [np.linalg.qr(rng.standard_normal((7, 2)))[0].T for _ in range(5)]
+        )
+        stack = orthonormal_complement(vecs, 7)
+        assert stack.shape == (5, 5, 7)
+        for v, basis in zip(vecs, stack):
+            assert np.allclose(basis, orthonormal_complement(v, 7), rtol=1e-13, atol=1e-13)
+
+    def test_complement_stack_rank_deficient_member_raises(self):
+        rng = np.random.default_rng(41)
+        vecs = rng.standard_normal((3, 2, 6))
+        vecs[2, 1] = 2.0 * vecs[2, 0]
+        with pytest.raises(ConditioningError, match="member 2 of the stack"):
+            orthonormal_complement(vecs, 6)
 
 
 class TestFrames:
@@ -235,6 +353,20 @@ class TestLevelProjection:
                 assert abs(eval_F(fam, proj.point) - target) < 1e-9
                 assert abs(np.linalg.norm(proj.point) - 1.0) < 1e-12
                 assert proj.path_residual < 1e-12
+
+    def test_three_evaluations_per_projection(self, monkeypatch):
+        # start level, landing level, and the 20 path points as one block
+        fam = family("fkm24")
+        x = regular_sphere_points(fam, 1, 41)[0]
+        calls = []
+
+        def counted(P, y):
+            calls.append(np.shape(y))
+            return eval_F(P, y)
+
+        monkeypatch.setattr(spherelevel, "eval_F", counted)
+        level_project(fam, x, 0.3)
+        assert calls == [(8,), (8,), (20, 8)]
 
     def test_rejects_focal_target(self):
         fam = family("cartan1")

@@ -122,6 +122,72 @@ class TestSigmaRho:
                 rho_k(m, 3)
 
 
+def random_stack(count, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, n, n))
+    return a + np.swapaxes(a, 1, 2)
+
+
+class TestStacks:
+    """A (N, n, n) stack goes through the same code as one matrix."""
+
+    def test_one_asymmetric_member_raises(self):
+        stack = random_stack(5, 4, 21)
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"not symmetric.*matrix 3 of the stack"):
+            SymmetricMatrix(stack)
+
+    def test_gate_is_per_matrix(self):
+        # Roundoff asymmetry in one member is judged against that member's
+        # own scale, not the stack's largest entry.
+        stack = random_stack(3, 4, 22)
+        stack[0] *= 1e12
+        stack[2, 1, 2] += 1e-6
+        with pytest.raises(ValueError, match="matrix 2 of the stack"):
+            SymmetricMatrix(stack)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            SymmetricMatrix(np.zeros((3, 2, 4)))
+
+    def test_entries_symmetrized_per_member(self):
+        stack = random_stack(4, 3, 23)
+        stack[:, 0, 1] += 1e-12
+        m = SymmetricMatrix(stack)
+        assert m.order == 3
+        for member, entries in zip(stack, m.entries):
+            assert np.array_equal(SymmetricMatrix(member).entries, entries)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6])
+    def test_rho_and_sigma_per_matrix(self, k):
+        stack = random_stack(7, 6, 24 + k)
+        m = SymmetricMatrix(stack)
+        members = [SymmetricMatrix(a) for a in stack]
+        rho = rho_k(m, k)
+        sigma = sigma_k(m, k)
+        assert rho.shape == sigma.shape == (7,)
+        assert np.allclose(rho, [rho_k(a, k) for a in members], rtol=1e-13, atol=1e-13)
+        assert np.allclose(
+            sigma, [sigma_k(a, k) for a in members], rtol=1e-13, atol=1e-13
+        )
+        assert np.allclose(m.trace(), [a.trace() for a in members], rtol=1e-13)
+
+    def test_stacked_eigh_matches_members(self):
+        stack = random_stack(4, 5, 25)
+        w, v = eigh(stack)
+        for a, wa, va in zip(stack, w, v):
+            w1, v1 = eigh(a)
+            assert np.allclose(wa, w1, rtol=1e-13, atol=1e-13)
+            assert np.max(np.abs(a @ va - va * wa)) < 1e-10
+
+    def test_one_non_finite_member_raises(self):
+        stack = random_stack(3, 2, 26)
+        stack[1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="rho_3"):
+                rho_k(SymmetricMatrix(stack), 3)
+
+
 class TestNewton:
     @given(values_lists)
     @settings(max_examples=60, deadline=None)
