@@ -56,8 +56,8 @@ from .riccati import (
     check_power_sum_recurrence,
     evolve_closed,
     evolve_numeric,
+    gamma_ij,
     moment_to_spectrum_evolution,
-    q_moment,
     rank_one,
     riccati_family,
     space_form,
@@ -458,12 +458,15 @@ def _parse_float_list(text: str, flag: str) -> list:
         raise ConstructionError(f"bad {flag} list {text!r}") from exc
     if not vals:
         raise ConstructionError(f"empty {flag} list")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConstructionError(f"{flag} entries must be finite, got {text!r}")
     return vals
 
 
 def cmd_riccati(args) -> int:
-    # A non-finite end point cannot be gridded or reported, and zero RK4
-    # steps integrate nothing.
+    # A non-finite end point cannot be gridded or reported, zero RK4 steps
+    # integrate nothing, and a non-finite --kappa or --mu0 entry (rejected
+    # while parsing) poisons every branch it touches.
     for flag, value in (("--t0", args.t0), ("--t1", args.t1)):
         if not math.isfinite(value):
             raise ConstructionError(f"{flag} must be finite, got {value}")
@@ -474,6 +477,8 @@ def cmd_riccati(args) -> int:
     mu0 = _parse_float_list(args.mu0, "--mu0")
     n = len(mu0)
     if len(kappas) == 1:
+        if args.mult is not None:
+            raise ConstructionError("--mult needs two --kappa values")
         jacobi = space_form(kappas[0], n)
     elif len(kappas) == 2:
         if args.mult is None:
@@ -521,11 +526,9 @@ def cmd_riccati(args) -> int:
     grid = np.linspace(t0c, t1c, 9)
     # Identity residuals grow with the moment magnitudes even at machine
     # precision, so the gated rows are scaled by the largest |Q_i| seen.
-    scale = 1.0
-    for t in grid:
-        for i in range(1, 8):
-            scale = max(scale, abs(q_moment(fam, float(t), i)))
-    closed = np.array([evolve_closed(fam, float(t)) for t in grid])
+    moments = [gamma_ij(fam, grid, i, 0) for i in range(1, 8)]
+    scale = float(np.max(np.abs(moments), initial=1.0))
+    closed = evolve_closed(fam, grid)
     worst = float(np.max(np.abs(closed - evolve_numeric(fam, grid, args.steps))))
     report.add(
         "closed-vs-numeric", worst / scale, TOL_RICCATI_EVOLVE,
@@ -557,11 +560,8 @@ def cmd_riccati(args) -> int:
     # noise^(1/m), so tied branches are excluded rather than mis-scored.
     distinct = len(set(zip(jacobi.kappas, mu0)))
     if n <= 8 and distinct == n:
-        worst_rt = 0.0
-        for t in grid:
-            rec = moment_to_spectrum_evolution(fam, float(t))
-            direct = np.sort(evolve_closed(fam, float(t)))[::-1]
-            worst_rt = max(worst_rt, float(np.max(np.abs(rec.values - direct))))
+        recovered = [moment_to_spectrum_evolution(fam, float(t)).values for t in grid]
+        worst_rt = float(np.max(np.abs(recovered - np.sort(closed)[:, ::-1])))
         report.add(
             "moment-round-trip", worst_rt, TOL_RICCATI_ROUNDTRIP,
             "eigenvalues recovered from power sums vs the evolved multiset",
@@ -694,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
         "riccati",
         help="closed-form curvature evolution against a numeric integrator",
         epilog="CSV columns (--csv PREFIX -> PREFIX-trajectory.csv): "
-        "t, mu_1..mu_n, Q_1..Q_4; floats carry 17 significant digits.",
+        "t, mu1..mu<n>, Q1..Q4, H (equal to Q1); floats carry 17 significant "
+        "digits.",
     )
     p.add_argument("--kappa", required=True, help="one or two values, comma separated")
     p.add_argument("--mult", type=int, help="multiplicity of the second value (1, 3 or 7)")

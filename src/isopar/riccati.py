@@ -11,12 +11,12 @@ power sums be propagated from derivatives of lower ones.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, IntegrationError
-from .symmat import Spectrum, spectrum_from_moments
+from .symmat import Spectrum, scalar_or_stack, spectrum_from_moments
 
 BLOWUP_BAND = 1e-3
 OVERFLOW_LIMIT = 1e12
@@ -94,13 +94,11 @@ def _mu_closed(branch, t):
         return omega * np.cos(u) / np.sin(u)
     if kind == "linear":
         return c0 / (1.0 - c0 * t)
-    if kind == "zero":
-        return 0.0
     if kind == "tanh":
         return omega * np.tanh(omega * (c0 - t))
     if kind == "coth":
         return omega / np.tanh(omega * (c0 - t))
-    return c0  # const
+    return c0  # const, and zero with c0 = 0
 
 
 def _dmu_closed(branch, t):
@@ -111,13 +109,11 @@ def _dmu_closed(branch, t):
         return omega**2 / np.sin(omega * (c0 - t)) ** 2
     if kind == "linear":
         return c0**2 / (1.0 - c0 * t) ** 2
-    if kind == "zero":
-        return 0.0
     if kind == "tanh":
         return -(omega**2) / np.cosh(omega * (c0 - t)) ** 2
     if kind == "coth":
         return omega**2 / np.sinh(omega * (c0 - t)) ** 2
-    return 0.0  # const
+    return 0.0  # const and zero
 
 
 @dataclass(frozen=True)
@@ -152,28 +148,39 @@ def riccati_family(jacobi: JacobiSpectrum, mu0) -> RiccatiFamily:
     )
 
 
-def _require_in_domain(fam: RiccatiFamily, t: float):
-    if not fam.t_lower + BLOWUP_BAND < t < fam.t_upper - BLOWUP_BAND:
-        nearest = fam.t_upper if t > 0 else fam.t_lower
+def _in_domain(fam: RiccatiFamily, t):
+    return (fam.t_lower + BLOWUP_BAND < t) & (t < fam.t_upper - BLOWUP_BAND)
+
+
+def _closed_table(fam: RiccatiFamily, t, form) -> np.ndarray:
+    """One closed form per branch: shape (n,) at one time, t.shape + (n,)
+    at an array of times. Raises BlowUpError naming the first time outside
+    the safe interval. A single time is evaluated as a one-row array too:
+    numpy squares a scalar with libm pow but an array exactly, so only this
+    keeps every row bit-identical to the single-time call."""
+    t = np.asarray(t, dtype=float)
+    ok = _in_domain(fam, t)
+    if not ok.all():
+        bad = float(t[~ok][0])
         raise BlowUpError(
-            f"t = {t} is outside the safe interval "
+            f"t = {bad} is outside the safe interval "
             f"({fam.t_lower + BLOWUP_BAND:.6g}, {fam.t_upper - BLOWUP_BAND:.6g})",
-            time=nearest,
+            time=fam.t_upper if bad > 0 else fam.t_lower,
         )
+    grid = t.reshape(-1)
+    columns = [np.broadcast_to(form(b, grid), grid.shape) for b in fam.branches]
+    return np.stack(columns, axis=-1).reshape(t.shape + (len(columns),))
 
 
-def evolve_closed(fam: RiccatiFamily, t: float) -> np.ndarray:
-    """Principal curvatures at time t from the per-branch closed forms."""
-    t = float(t)
-    _require_in_domain(fam, t)
-    return np.array([_mu_closed(branch, t) for branch in fam.branches])
+def evolve_closed(fam: RiccatiFamily, t) -> np.ndarray:
+    """Principal curvatures from the per-branch closed forms: one time gives
+    shape (n,), an array of times t.shape + (n,)."""
+    return _closed_table(fam, t, _mu_closed)
 
 
-def evolve_derivative(fam: RiccatiFamily, t: float) -> np.ndarray:
-    """Analytic d mu / dt at time t."""
-    t = float(t)
-    _require_in_domain(fam, t)
-    return np.array([_dmu_closed(branch, t) for branch in fam.branches])
+def evolve_derivative(fam: RiccatiFamily, t) -> np.ndarray:
+    """Analytic d mu / dt, shaped like evolve_closed."""
+    return _closed_table(fam, t, _dmu_closed)
 
 
 def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
@@ -185,13 +192,9 @@ def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
     arithmetic of integrating that time alone.
     """
     t = np.asarray(t, dtype=float)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    mu = np.broadcast_to(np.array(fam.mu0), t.shape + (len(fam.mu0),)).copy()
-    if steps == 0:
-        if np.any(t != 0.0):
-            raise ValueError("zero steps only reproduce the initial time")
-        return mu
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    mu = np.broadcast_to(np.array(fam.mu0), t.shape + (len(fam.mu0),))
     kappas = np.array(fam.jacobi.kappas)
     h = (t / steps)[..., None]
     rhs = lambda m: m * m + kappas
@@ -209,80 +212,88 @@ def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
     return mu
 
 
-def gamma_ij(fam: RiccatiFamily, t: float, i: int, j: int) -> float:
-    """Mixed trace moment Gamma_ij(t) = tr(S^i R^j) = sum mu^i kappa^j."""
+def _gamma(mu, kappas, i: int, j: int):
+    """sum mu^i kappa^j over the last axis of a curvature table."""
     if i < 0 or j < 0:
         raise ValueError("moments need nonnegative exponents")
-    mu = evolve_closed(fam, t)
-    kappas = np.array(fam.jacobi.kappas)
-    return float(np.sum(mu**i * kappas**j))
+    return np.sum(mu**i * kappas**j, axis=-1)
 
 
-def q_moment(fam: RiccatiFamily, t: float, i: int) -> float:
-    """Q_i(t) = tr S^i."""
-    return gamma_ij(fam, t, i, 0)
+def _gamma_derivative(mu, dmu, kappas, i: int, j: int):
+    """i sum mu^(i-1) mu' kappa^j over the last axis."""
+    if i < 1 or j < 0:
+        raise ValueError("i must be >= 1 and j nonnegative")
+    return i * np.sum(mu ** (i - 1) * dmu * kappas**j, axis=-1)
 
 
-def q_derivative(fam: RiccatiFamily, t: float, i: int) -> float:
-    """Analytic dQ_i/dt = i sum mu^(i-1) mu'."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    mu = evolve_closed(fam, t)
-    dmu = evolve_derivative(fam, t)
-    return float(i * np.sum(mu ** (i - 1) * dmu))
+def gamma_ij(fam: RiccatiFamily, t, i: int, j: int):
+    """Mixed trace moment Gamma_ij(t) = tr(S^i R^j) = sum mu^i kappa^j: a
+    float at one time, an array shaped like t at an array of times.
+    Gamma_i0 is the power sum Q_i = tr S^i."""
+    return scalar_or_stack(
+        _gamma(evolve_closed(fam, t), np.array(fam.jacobi.kappas), i, j)
+    )
 
 
-def gamma_i1_derivative(fam: RiccatiFamily, t: float, i: int) -> float:
-    """Analytic d Gamma_i1 / dt = i sum mu^(i-1) mu' kappa."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    mu = evolve_closed(fam, t)
-    dmu = evolve_derivative(fam, t)
-    kappas = np.array(fam.jacobi.kappas)
-    return float(i * np.sum(mu ** (i - 1) * dmu * kappas))
+def _flow(fam: RiccatiFamily, t):
+    """mu, mu' and the kappas, each time evaluated once."""
+    return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.jacobi.kappas)
+
+
+def gamma_derivative(fam: RiccatiFamily, t, i: int, j: int):
+    """Analytic d Gamma_ij / dt = i sum mu^(i-1) mu' kappa^j, shaped like
+    gamma_ij."""
+    return scalar_or_stack(_gamma_derivative(*_flow(fam, t), i, j))
+
+
+def _worst(residuals) -> float:
+    """Largest |residual|; a NaN residual is returned, not dropped."""
+    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def check_power_sum_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 6) -> float:
     """Max residual of Q_(i+1) = (1/i) dQ_i/dt - Gamma_(i-1,1)."""
-    worst = 0.0
-    for t in t_samples:
-        for i in range(1, i_max + 1):
-            lhs = q_moment(fam, t, i + 1)
-            rhs = q_derivative(fam, t, i) / i - gamma_ij(fam, t, i - 1, 1)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    mu, dmu, kappas = _flow(fam, t_samples)
+    return _worst([
+        _gamma(mu, kappas, i + 1, 0)
+        - (_gamma_derivative(mu, dmu, kappas, i, 0) / i - _gamma(mu, kappas, i - 1, 1))
+        for i in range(1, i_max + 1)
+    ])
 
 
 def check_gamma_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 5) -> float:
     """Max residual of the Gamma_(i+1,1) recurrence for parallel diagonal R:
     Gamma_(i+1,1) = (1/i) (dGamma_i1/dt - sum_j tr(S^j R S^(i-1-j) R)),
     where each of the i cross terms collapses to Gamma_(i-1,2)."""
-    worst = 0.0
-    for t in t_samples:
-        for i in range(1, i_max + 1):
-            lhs = gamma_ij(fam, t, i + 1, 1)
-            cross = i * gamma_ij(fam, t, i - 1, 2)
-            rhs = (gamma_i1_derivative(fam, t, i) - cross) / i
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    mu, dmu, kappas = _flow(fam, t_samples)
+    return _worst([
+        _gamma(mu, kappas, i + 1, 1)
+        - (_gamma_derivative(mu, dmu, kappas, i, 1) - i * _gamma(mu, kappas, i - 1, 2)) / i
+        for i in range(1, i_max + 1)
+    ])
 
 
-def gamma_block_split(fam: RiccatiFamily, t: float, i: int, j: int) -> float:
-    """Gamma_ij recovered without powering the spectrum directly.
+def _block_split(jac: JacobiSpectrum, mu, i: int, j: int):
+    kappas = np.array(jac.kappas)
+    if jac.tag == SPACE_FORM:
+        return jac.c**j * _gamma(mu, kappas, i, 0)
+    k1, k2 = jac.kappa1, jac.kappa2
+    qi = _gamma(mu, kappas, i, 0)
+    gi1 = _gamma(mu, kappas, i, 1)
+    tr_a = (gi1 - k2 * qi) / (k1 - k2)
+    tr_c = (k1 * qi - gi1) / (k1 - k2)
+    return k1**j * tr_a + k2**j * tr_c
+
+
+def gamma_block_split(fam: RiccatiFamily, t, i: int, j: int):
+    """Gamma_ij recovered without powering the spectrum directly, shaped
+    like gamma_ij.
 
     Space forms: Gamma_ij = c^j Q_i. Rank-one spectra: the block traces
     tr(A_i), tr(C_i) of S^i over the two R-eigenspaces follow from the pair
     (Q_i, Gamma_i1) by a 2x2 solve, after which any kappa power can be
     attached."""
-    jac = fam.jacobi
-    if jac.tag == SPACE_FORM:
-        return jac.c**j * q_moment(fam, t, i)
-    k1, k2 = jac.kappa1, jac.kappa2
-    qi = q_moment(fam, t, i)
-    gi1 = gamma_ij(fam, t, i, 1)
-    tr_a = (gi1 - k2 * qi) / (k1 - k2)
-    tr_c = (k1 * qi - gi1) / (k1 - k2)
-    return k1**j * tr_a + k2**j * tr_c
+    return scalar_or_stack(_block_split(fam.jacobi, evolve_closed(fam, t), i, j))
 
 
 @dataclass(frozen=True)
@@ -297,7 +308,7 @@ class MomentChainReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.gamma11, self.gamma21, self.q4, self.gamma31, self.q5)
+        return float(np.max(astuple(self)))
 
 
 def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
@@ -308,60 +319,58 @@ def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
     Q_4 = Q_3'/3 - Gamma_21; Gamma_31 = Gamma_21'/2 - Gamma_12 with
     Gamma_12 recovered by the block split; Q_5 = Q_4'/4 - Gamma_31.
     """
-    kappas = np.array(fam.jacobi.kappas)
+    mu, dmu, kappas = _flow(fam, t_samples)
+    gamma = lambda i, j: _gamma(mu, kappas, i, j)
+    deriv = lambda i, j: _gamma_derivative(mu, dmu, kappas, i, j)
     tr_r2 = float(np.sum(kappas**2))
-    worst = dict(gamma11=0.0, gamma21=0.0, q4=0.0, gamma31=0.0, q5=0.0)
-    for t in t_samples:
-        g11_chain = 0.5 * q_derivative(fam, t, 2) - q_moment(fam, t, 3)
-        g21_chain = gamma_i1_derivative(fam, t, 1) - tr_r2
-        q4_chain = q_derivative(fam, t, 3) / 3.0 - g21_chain
-        g12 = gamma_block_split(fam, t, 1, 2)
-        g31_chain = 0.5 * gamma_i1_derivative(fam, t, 2) - g12
-        q5_chain = q_derivative(fam, t, 4) / 4.0 - g31_chain
-        worst["gamma11"] = max(
-            worst["gamma11"], abs(g11_chain - gamma_ij(fam, t, 1, 1))
-        )
-        worst["gamma21"] = max(
-            worst["gamma21"], abs(g21_chain - gamma_ij(fam, t, 2, 1))
-        )
-        worst["q4"] = max(worst["q4"], abs(q4_chain - q_moment(fam, t, 4)))
-        worst["gamma31"] = max(
-            worst["gamma31"], abs(g31_chain - gamma_ij(fam, t, 3, 1))
-        )
-        worst["q5"] = max(worst["q5"], abs(q5_chain - q_moment(fam, t, 5)))
-    return MomentChainReport(**worst)
+    g11_chain = 0.5 * deriv(2, 0) - gamma(3, 0)
+    g21_chain = deriv(1, 1) - tr_r2
+    q4_chain = deriv(3, 0) / 3.0 - g21_chain
+    g31_chain = 0.5 * deriv(2, 1) - _block_split(fam.jacobi, mu, 1, 2)
+    q5_chain = deriv(4, 0) / 4.0 - g31_chain
+    return MomentChainReport(
+        gamma11=_worst(g11_chain - gamma(1, 1)),
+        gamma21=_worst(g21_chain - gamma(2, 1)),
+        q4=_worst(q4_chain - gamma(4, 0)),
+        gamma31=_worst(g31_chain - gamma(3, 1)),
+        q5=_worst(q5_chain - gamma(5, 0)),
+    )
 
 
-def phi_psi_split(fam: RiccatiFamily, t: float, i: int):
+def _blocks(fam: RiccatiFamily):
+    """Slices of the kappa1 and kappa2 blocks of a rank-one spectrum."""
+    if fam.jacobi.tag != RANK_ONE:
+        raise ValueError("split moments need a rank-one spectrum")
+    cut = len(fam.mu0) - fam.jacobi.m
+    return slice(None, cut), slice(cut, None)
+
+
+def phi_psi_split(fam: RiccatiFamily, t, i: int):
     """(Phi_i, Psi_i): the power sum split over the two R-eigenspace blocks
-    of a rank-one spectrum."""
-    if fam.jacobi.tag != RANK_ONE:
-        raise ValueError("split moments need a rank-one spectrum")
-    mu = evolve_closed(fam, t)
-    cut = len(mu) - fam.jacobi.m
-    return float(np.sum(mu[:cut] ** i)), float(np.sum(mu[cut:] ** i))
+    of a rank-one spectrum, each shaped like gamma_ij."""
+    blocks = _blocks(fam)
+    mu, kappas = evolve_closed(fam, t), np.array(fam.jacobi.kappas)
+    return tuple(scalar_or_stack(_gamma(mu[..., b], kappas[b], i, 0)) for b in blocks)
 
 
-def phi_psi_derivative(fam: RiccatiFamily, t: float, i: int):
+def phi_psi_derivative(fam: RiccatiFamily, t, i: int):
     """Analytic derivatives of the split power sums."""
-    if fam.jacobi.tag != RANK_ONE:
-        raise ValueError("split moments need a rank-one spectrum")
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    mu = evolve_closed(fam, t)
-    dmu = evolve_derivative(fam, t)
-    cut = len(mu) - fam.jacobi.m
-    return (
-        float(i * np.sum(mu[:cut] ** (i - 1) * dmu[:cut])),
-        float(i * np.sum(mu[cut:] ** (i - 1) * dmu[cut:])),
+    blocks = _blocks(fam)
+    mu, dmu, kappas = _flow(fam, t)
+    return tuple(
+        scalar_or_stack(_gamma_derivative(mu[..., b], dmu[..., b], kappas[b], i, 0))
+        for b in blocks
     )
 
 
 def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> Spectrum:
-    """Recover the evolved curvature multiset from its first n power sums."""
+    """Recover the evolved curvature multiset at one time from its first n
+    power sums."""
     n = len(fam.mu0)
-    moments = [q_moment(fam, t, i) for i in range(1, n + 1)]
-    return spectrum_from_moments(moments, n)
+    mu, kappas = evolve_closed(fam, t), np.array(fam.jacobi.kappas)
+    return spectrum_from_moments(
+        [float(_gamma(mu, kappas, i, 0)) for i in range(1, n + 1)], n
+    )
 
 
 def write_trajectory_csv(path, fam: RiccatiFamily, t0, t1, steps, k_max=4):
@@ -369,7 +378,12 @@ def write_trajectory_csv(path, fam: RiccatiFamily, t0, t1, steps, k_max=4):
 
     Times inside a blow-up band are skipped, so the file may be partial."""
     n = len(fam.mu0)
-    written = 0
+    times = np.linspace(t0, t1, steps)
+    times = times[_in_domain(fam, times)]
+    mu = evolve_closed(fam, times)
+    kappas = np.array(fam.jacobi.kappas)
+    q = [_gamma(mu, kappas, k, 0) for k in range(1, k_max + 1)]
+    table = np.column_stack([times, mu, *q, np.sum(mu, axis=-1)])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -378,14 +392,5 @@ def write_trajectory_csv(path, fam: RiccatiFamily, t0, t1, steps, k_max=4):
             + [f"Q{k}" for k in range(1, k_max + 1)]
             + ["H"]
         )
-        for t in np.linspace(t0, t1, steps):
-            try:
-                mu = evolve_closed(fam, float(t))
-            except BlowUpError:
-                continue
-            row = [float(t)] + list(mu)
-            row += [float(np.sum(mu**k)) for k in range(1, k_max + 1)]
-            row.append(float(np.sum(mu)))
-            writer.writerow([f"{value:.17g}" for value in row])
-            written += 1
-    return written
+        writer.writerows([f"{value:.17g}" for value in row] for row in table)
+    return len(times)

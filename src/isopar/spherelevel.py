@@ -32,16 +32,6 @@ MATCH_TOL = 1e-6
 PROJECTION_TOL = 1e-10  # level and path gates of level_project
 
 
-def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic unit-sphere samples; sample i depends only on (seed, i)."""
-    pts = np.empty((count, dim))
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        v = rng.standard_normal(dim)
-        pts[i] = v / np.linalg.norm(v)
-    return pts
-
-
 def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
     """Unit-sphere samples with |F| <= f_bound, redrawing per-index substreams
     (i, attempt) so the result is reproducible and independent of rejection

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isopar import cli, errors, polyfam, spherelevel
+from isopar import cli, errors, polyfam, riccati, spherelevel
 
 
 def run(capsys, argv):
@@ -360,10 +360,20 @@ class TestRiccati:
         )
         assert code == 2
 
+    def test_one_kappa_takes_no_mult(self, capsys):
+        # a space form has no second eigenvalue for --mult to count
+        code, doc = run_json(
+            capsys, ["riccati", "--kappa", "1", "--mult", "3", "--mu0", "0.3,0.2"]
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert "--mult" in doc["error"]["message"]
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--t0", "nan"), ("--t0", "-inf"), ("--t1", "inf"), ("--t1", "nan"),
-         ("--steps", "0"), ("--steps", "-5")],
+         ("--steps", "0"), ("--steps", "-5"), ("--kappa", "nan"),
+         ("--kappa", "1,-inf"), ("--mu0", "nan,0.2"), ("--mu0", "0.4,inf")],
     )
     def test_bad_time_grid_is_usage_error(self, capsys, monkeypatch, flag, value):
         def no_build(jacobi, mu0):
@@ -377,6 +387,23 @@ class TestRiccati:
         assert code == 2
         assert doc["error"]["type"] == "ConstructionError"
         assert flag in doc["error"]["message"]
+
+    def test_closed_forms_evaluated_per_grid(self, capsys, monkeypatch):
+        # The README command: the closed table, one moment table per order,
+        # the three checks and one evaluation per round-trip time.
+        calls = []
+        original = riccati.evolve_closed
+
+        def counted(fam, t):
+            calls.append(np.shape(t))
+            return original(fam, t)
+
+        monkeypatch.setattr(riccati, "evolve_closed", counted)
+        monkeypatch.setattr(cli, "evolve_closed", counted)
+        code, _ = run(capsys, ["riccati", "--kappa", "1,4", "--mult", "3", "--mu0",
+                               "0.9,-0.3,0.25,1.1,-0.7,0.5,0.05"])
+        assert code == 0
+        assert len(calls) <= 20
 
     def test_trajectory_csv(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")

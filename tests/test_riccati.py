@@ -25,14 +25,17 @@ def clipped_times(fam, lo, hi, count):
     return np.linspace(lo, hi, count)
 
 
+# One branch of every closed-form kind:
+#        cot  linear zero tanh coth const
+MIXED = (
+    rc.JacobiSpectrum(kappas=(1.0, 0.0, 0.0, -1.0, -1.0, -1.0), tag="mixed"),
+    (0.3, 0.8, 0.0, 0.4, 1.7, 1.0),
+)
+BRANCH_KINDS = ["cot", "linear", "zero", "tanh", "coth", "const"]
+
+
 def mixed_family():
-    """One branch of every closed-form kind."""
-    jac = rc.JacobiSpectrum(
-        kappas=(1.0, 0.0, 0.0, -1.0, -1.0, -1.0), tag="mixed"
-    )
-    #       cot  linear zero tanh coth const
-    mu0 = (0.3, 0.8, 0.0, 0.4, 1.7, 1.0)
-    return rc.riccati_family(jac, mu0)
+    return rc.riccati_family(*MIXED)
 
 
 class TestConstruction:
@@ -109,6 +112,16 @@ class TestDomain:
         with pytest.raises(BlowUpError):
             rc.evolve_closed(fam, 0.7)  # past the pole entirely
 
+    def test_grid_names_its_first_time_in_the_band(self):
+        fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))  # pole at 0.5
+        grid = np.array([-0.2, 0.1, 0.5 - 1e-4, 0.3, 0.7])
+        for evolve in (rc.evolve_closed, rc.evolve_derivative):
+            with pytest.raises(BlowUpError, match=f"t = {0.5 - 1e-4} ") as info:
+                evolve(fam, grid)
+            assert info.value.time == pytest.approx(0.5)
+        with pytest.raises(BlowUpError, match=f"t = {0.5 - 1e-4} "):
+            rc.gamma_ij(fam, grid.reshape(5, 1), 2, 0)
+
 
 class TestClosedForms:
     def test_tan_special_solution(self):
@@ -164,27 +177,42 @@ class TestClosedForms:
 
     def test_rk4_step_validation(self):
         fam = mixed_family()
-        assert np.allclose(rc.evolve_numeric(fam, 0.0, 0), fam.mu0)
-        with pytest.raises(ValueError, match="zero steps"):
-            rc.evolve_numeric(fam, 0.2, 0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            rc.evolve_numeric(fam, 0.2, -3)
+        assert np.array_equal(rc.evolve_numeric(fam, 0.0, 1), fam.mu0)
+        for steps in (0, -3):
+            for t in (0.0, 0.2):
+                with pytest.raises(ValueError, match="at least 1"):
+                    rc.evolve_numeric(fam, t, steps)
 
     @pytest.mark.parametrize(
         "jac,mu0",
         [
             (rc.space_form(-1.0, 3), (0.4, -0.2, 1.6)),
             (rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)),
+            MIXED,
         ],
     )
     def test_stacked_grid_matches_one_time_at_a_time(self, jac, mu0):
         fam = rc.riccati_family(jac, mu0)
         grid = np.concatenate([clipped_times(fam, -0.5, 0.5, 8), [0.0]])
-        stacked = rc.evolve_numeric(fam, grid, 200)
-        assert stacked.shape == (len(grid), len(mu0))
-        assert np.array_equal(
-            stacked, np.stack([rc.evolve_numeric(fam, t, 200) for t in grid])
-        )
+        n = len(mu0)
+        for evolve in (
+            lambda t: rc.evolve_numeric(fam, t, 200),
+            lambda t: rc.evolve_closed(fam, t),
+            lambda t: rc.evolve_derivative(fam, t),
+        ):
+            stacked = evolve(grid)
+            assert stacked.shape == (len(grid), n)
+            assert np.array_equal(stacked, np.stack([evolve(t) for t in grid]))
+            assert evolve(grid.reshape(3, 3)).shape == (3, 3, n)
+        moments = [(rc.gamma_ij, i, j) for i in range(6) for j in range(3)]
+        moments += [(rc.gamma_derivative, i, j) for i in range(1, 6) for j in range(3)]
+        for moment, i, j in moments:
+            stacked = moment(fam, grid, i, j)
+            assert np.array_equal(stacked, [moment(fam, t, i, j) for t in grid])
+            assert isinstance(moment(fam, grid[0], i, j), float)
+
+    def test_mixed_family_covers_every_branch_kind(self):
+        assert [branch[0] for branch in mixed_family().branches] == BRANCH_KINDS
 
     def test_rk4_overflow_past_pole(self):
         fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))
@@ -234,10 +262,13 @@ class TestMoments:
         fam = mixed_family()
         with pytest.raises(ValueError, match="nonnegative"):
             rc.gamma_ij(fam, 0.1, -1, 0)
-        with pytest.raises(ValueError, match=">= 1"):
-            rc.q_derivative(fam, 0.1, 0)
-        with pytest.raises(ValueError, match=">= 1"):
-            rc.gamma_i1_derivative(fam, 0.1, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rc.gamma_ij(fam, 0.1, 1, -1)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match=">= 1"):
+                rc.gamma_derivative(fam, 0.1, 0, j)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rc.gamma_derivative(fam, 0.1, 1, -1)
 
     def test_q_derivative_matches_central_difference(self):
         fam = mixed_family()
@@ -245,9 +276,9 @@ class TestMoments:
         for t in clipped_times(fam, -0.4, 0.4, 7):
             for i in (1, 2, 3, 4):
                 fd = (
-                    rc.q_moment(fam, t + h, i) - rc.q_moment(fam, t - h, i)
+                    rc.gamma_ij(fam, t + h, i, 0) - rc.gamma_ij(fam, t - h, i, 0)
                 ) / (2.0 * h)
-                exact = rc.q_derivative(fam, float(t), i)
+                exact = rc.gamma_derivative(fam, float(t), i, 0)
                 assert abs(exact - fd) < 1e-5 * max(1.0, abs(exact))
 
     def test_gamma_i1_derivative_matches_central_difference(self):
@@ -261,7 +292,7 @@ class TestMoments:
                     rc.gamma_ij(fam, t + h, i, 1)
                     - rc.gamma_ij(fam, t - h, i, 1)
                 ) / (2.0 * h)
-                exact = rc.gamma_i1_derivative(fam, float(t), i)
+                exact = rc.gamma_derivative(fam, float(t), i, 1)
                 assert abs(exact - fd) < 1e-5 * max(1.0, abs(exact))
 
 
@@ -303,6 +334,24 @@ class TestRecurrences:
                 assert getattr(report, field) >= 0.0
 
 
+    def test_nan_at_one_time_reaches_every_check(self, monkeypatch):
+        fam = next(self.families())
+        times = clipped_times(fam, -0.4, 0.4, 9)
+        derivative = rc.evolve_derivative
+
+        def poisoned(fam, t):
+            dmu = derivative(fam, t).copy()
+            dmu[..., 5, 1] = np.nan
+            return dmu
+
+        monkeypatch.setattr(rc, "evolve_derivative", poisoned)
+        assert np.isnan(rc.check_power_sum_recurrence(fam, times))
+        assert np.isnan(rc.check_gamma_recurrence(fam, times))
+        report = rc.check_moment_chain(fam, times)
+        assert np.isnan(report.max_residual)
+        assert np.isnan(report.q5)
+
+
 class TestBlockSplit:
     def test_phi_psi_sum_to_power_sum(self):
         fam = rc.riccati_family(
@@ -312,7 +361,7 @@ class TestBlockSplit:
             for i in (1, 2, 3, 4):
                 phi, psi = rc.phi_psi_split(fam, float(t), i)
                 assert phi + psi == pytest.approx(
-                    rc.q_moment(fam, float(t), i), rel=1e-12, abs=1e-12
+                    rc.gamma_ij(fam, float(t), i, 0), rel=1e-12, abs=1e-12
                 )
 
     def test_phi_covers_first_block_only(self):

@@ -21,7 +21,6 @@ from isopar.spherelevel import (
     regular_sphere_points,
     rhobar_recurrence_check,
     shape_spectrum,
-    sphere_points,
     transnormal_residuals,
     write_recurrence_csv,
 )
@@ -44,14 +43,17 @@ FAMILY_NAMES = ["cartan1", "cartan2", "fkm24", "ot1"]
 
 
 class TestSampling:
-    def test_sphere_points_deterministic_unit(self):
-        a = sphere_points(6, 10, 3)
-        b = sphere_points(6, 10, 3)
+    def test_regular_points_deterministic_unit(self):
+        a = regular_sphere_points(family("cartan2"), 10, 3)
+        b = regular_sphere_points(family("cartan2"), 10, 3)
         assert np.array_equal(a, b)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
     def test_different_seed_differs(self):
-        assert not np.array_equal(sphere_points(6, 4, 0), sphere_points(6, 4, 1))
+        fam = family("cartan1")
+        assert not np.array_equal(
+            regular_sphere_points(fam, 4, 0), regular_sphere_points(fam, 4, 1)
+        )
 
     def test_regular_points_avoid_focal_band(self):
         fam = family("cartan1")
