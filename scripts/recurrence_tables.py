@@ -10,11 +10,12 @@ import sys
 
 import numpy as np
 
+from isopar.cli import write_csv
 from isopar.polyfam import make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
     qk_recurrence_check,
+    recurrence_table,
     rhobar_recurrence_check,
-    write_recurrence_csv,
 )
 
 BUILTINS = {
@@ -51,7 +52,7 @@ def main(argv=None):
               f"{qrep.max_residual:10.2e} {rrep.max_residual:10.2e}")
         if not args.no_csv:
             path = f"{args.prefix}-{name}.csv"
-            write_recurrence_csv(path, fam.g, fam.m1, fam.m2, grid, args.k_max)
+            write_csv(path, *recurrence_table(fam.g, fam.m1, fam.m2, grid, args.k_max))
             print(f"{'':>10} wrote {path}")
     return 0
 

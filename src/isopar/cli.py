@@ -6,20 +6,27 @@ against; rows with tolerance null are informational and do not gate the
 exit code.  Exit codes: 0 all gated checks passed, 1 at least one failed,
 2 usage or construction error (the error is still reported as JSON).
 
+main is the one suite runner.  It resolves the seed, creates the report,
+calls the suite, writes the suite's CSV side file when --csv is given,
+emits the JSON and maps the verdict to the exit code.  A suite (cmd_*)
+only checks its inputs, fills params and samples and adds rows; one with
+a side file returns (suffix, table), table() giving its header and rows.
+
 Determinism: identical (command, params, seed) produce byte-identical
 report bodies.  No timestamps, no machine identifiers.  ISOPAR_SEED in
-the environment overrides --seed.
+the environment overrides --seed; either must be a non-negative integer.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -33,11 +40,11 @@ from .clifford import (
 )
 from .errors import BlowUpError, ConstructionError, IsoparError
 from .hopf import (
+    AlphaSample,
     HopfContext,
     alpha_scan,
     omega_direct,
     witness_points,
-    write_alpha_csv,
 )
 from .polyfam import (
     IsoPolynomial,
@@ -61,15 +68,15 @@ from .riccati import (
     rank_one,
     riccati_family,
     space_form,
-    write_trajectory_csv,
+    trajectory_table,
 )
 from .spherelevel import (
     frame_at,
     level_project,
     munzner_check,
+    recurrence_table,
     regular_sphere_points,
     transnormal_residuals,
-    write_recurrence_csv,
 )
 
 SCHEMA = "isopar-report/1"
@@ -115,16 +122,18 @@ class CheckRecord:
 @dataclass
 class SuiteReport:
     command: str
-    params: dict
     seed: int
-    samples: int
+    params: dict = field(default_factory=dict)
+    samples: int = 0
     details: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
     def add(self, name, residual, tolerance, ref):
+        """One row; an array of residuals is reduced by np.max, which
+        carries a NaN anywhere in it through to the gate."""
         self.details.append(
-            CheckRecord(name, float(residual), tolerance, ref)
+            CheckRecord(name, float(np.max(residual)), tolerance, ref)
         )
 
     @property
@@ -134,7 +143,7 @@ class SuiteReport:
     @property
     def max_residual(self) -> float:
         gated = [rec.residual for rec in self.details if rec.tolerance is not None]
-        return max(gated) if gated else 0.0
+        return float(np.max(gated)) if gated else 0.0
 
 
 def _json_float(value):
@@ -181,19 +190,28 @@ def error_body(command: str, exc: Exception) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def write_csv(path, header, rows) -> None:
+    """The one side-file format: a header row, then every value with 17
+    significant digits so rows reload bit for bit; CRLF line ends."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([f"{value:.17g}" for value in row] for row in rows)
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("ISOPAR_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+def _seed(args) -> int:
+    source, text = "--seed", args.seed
+    if "ISOPAR_SEED" in os.environ:
+        source, text = "ISOPAR_SEED", os.environ["ISOPAR_SEED"]
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise ConstructionError(
+            f"{source} must be a non-negative integer, got {text!r}"
+        ) from None
+    return seed
 
 
 def _require_tolerance(tol: float) -> None:
@@ -202,33 +220,41 @@ def _require_tolerance(tol: float) -> None:
         raise ConstructionError(f"--tol must be positive and finite, got {tol}")
 
 
-def _build_family(args) -> IsoPolynomial:
+def _parse_list(text: str, flag: str, kind) -> list:
+    try:
+        vals = [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConstructionError(f"bad {flag} list {text!r}") from exc
+    if not vals:
+        raise ConstructionError(f"empty {flag} list")
+    if kind is float and not all(math.isfinite(v) for v in vals):
+        raise ConstructionError(f"{flag} entries must be finite, got {text!r}")
+    return vals
+
+
+def _build_family(args, report: SuiteReport) -> IsoPolynomial:
+    """The --family member; its signature goes into the report's params and
+    --samples becomes the report's sample count."""
     # Every family command samples; zero samples would pass vacuously.
     if args.samples < 1:
         raise ConstructionError(f"--samples must be at least 1, got {args.samples}")
     if args.family == "cartan":
         if args.m is None:
             raise ConstructionError("cartan needs --m (1, 2, 4 or 8)")
-        return make_cartan(args.m)
-    if args.family == "fkm":
+        fam = make_cartan(args.m)
+    elif args.family == "fkm":
         if args.m is None or args.r is None:
             raise ConstructionError("fkm needs --m and --r")
-        return make_fkm(args.m, args.r)
-    if args.family == "ot":
+        fam = make_fkm(args.m, args.r)
+    else:
         if args.r is None:
             raise ConstructionError("ot needs --r")
-        return make_ot(args.r)
-    raise ConstructionError(f"unknown family {args.family!r}")
-
-
-def _family_params(fam: IsoPolynomial) -> dict:
-    return {
-        "family": fam.family,
-        "g": fam.g,
-        "m1": fam.m1,
-        "m2": fam.m2,
-        "dim": fam.ambient_dim,
-    }
+        fam = make_ot(args.r)
+    report.params.update(
+        family=fam.family, g=fam.g, m1=fam.m1, m2=fam.m2, dim=fam.ambient_dim
+    )
+    report.samples = args.samples
+    return fam
 
 
 def _block_residuals(count: int, evaluate) -> np.ndarray:
@@ -257,21 +283,12 @@ def _ball_points(dim: int, count: int, seed: int, radius: float) -> np.ndarray:
 # ---------------------------------------------------------------- verify-cm
 
 
-def cmd_verify_cm(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_verify_cm(args, report):
     _require_tolerance(args.tol)
-    fam = _build_family(args)
-    tol = args.tol
-    report = SuiteReport(
-        command="verify-cm",
-        params=_family_params(fam),
-        seed=seed,
-        samples=args.samples,
-    )
-
+    fam = _build_family(args, report)
     g = fam.g
-    ball = _ball_points(fam.ambient_dim, args.samples, seed, radius=2.0)
-    sphere = regular_sphere_points(fam, args.samples, seed + 1)
+    ball = _ball_points(fam.ambient_dim, args.samples, report.seed, radius=2.0)
+    sphere = regular_sphere_points(fam, args.samples, report.seed + 1)
 
     def residuals(block):
         r = point_norm(ball[block])
@@ -294,35 +311,20 @@ def cmd_verify_cm(args) -> int:
             "spherical Laplacian of f vs the affine profile a(f)",
         ),
     ]
-    worst = np.max(_block_residuals(args.samples, residuals), axis=1)
-    for (name, ref), value in zip(rows, worst):
-        report.add(name, value, tol, ref)
-
-    _emit(report_body(report), args.out)
-    return 0 if report.passed else 1
+    for (name, ref), res in zip(rows, _block_residuals(args.samples, residuals)):
+        report.add(name, res, args.tol, ref)
 
 
 # ------------------------------------------------------------ verify-hidden
 
 
-def _parse_k_list(text: str) -> list:
-    try:
-        ks = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConstructionError(f"bad --k list {text!r}") from exc
-    if not ks:
-        raise ConstructionError("empty --k list")
-    return ks
-
-
-def cmd_verify_hidden(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_verify_hidden(args, report):
     _require_tolerance(args.tol)
-    fam = _build_family(args)
+    fam = _build_family(args, report)
     is_cartan_base = fam.family == "cartan" and fam.m1 == 1
 
     if args.k is not None:
-        ks = _parse_k_list(args.k)
+        ks = _parse_list(args.k, "--k", int)
     elif is_cartan_base:
         ks = [1, 2, 3, 4, 5]
     else:
@@ -335,15 +337,9 @@ def cmd_verify_hidden(args) -> int:
                 f"k = {k} has no recorded closed form for this family "
                 "(identity range 1..5 for the base cubic, 2..4 otherwise)"
             )
+    report.params["k"] = ",".join(str(k) for k in ks)
 
-    report = SuiteReport(
-        command="verify-hidden",
-        params={**_family_params(fam), "k": ",".join(str(k) for k in ks)},
-        seed=seed,
-        samples=args.samples,
-    )
-
-    pts = _ball_points(fam.ambient_dim, args.samples, seed, radius=1.5)
+    pts = _ball_points(fam.ambient_dim, args.samples, report.seed, radius=1.5)
     norms = np.linalg.norm(pts, axis=1)
 
     def minor_identity(k, block):
@@ -361,53 +357,40 @@ def cmd_verify_hidden(args) -> int:
 
     for k in ks:
         if is_cartan_base and 1 <= k <= 5:
-            res = _block_residuals(args.samples, functools.partial(minor_identity, k))
             report.add(
-                f"hessian-minor-identity-{k}", np.max(res), args.tol,
+                f"hessian-minor-identity-{k}",
+                _block_residuals(args.samples, functools.partial(minor_identity, k)),
+                args.tol,
                 "k-th elementary symmetric function of the Hessian, "
                 "closed form for the 5-variable cubic",
             )
         if 2 <= k <= 4:
             informational = k == 4 and fam.n < 4
-            res = _block_residuals(args.samples, functools.partial(power_sum, k))
             report.add(
                 f"power-sum-closed-form-{k}",
-                np.max(res),
+                _block_residuals(args.samples, functools.partial(power_sum, k)),
                 None if informational else args.tol,
                 "power sum of Hessian eigenvalues vs its homogenized "
                 "closed form" + (" (below its stated rank bound)" if informational else ""),
             )
 
-    _emit(report_body(report), args.out)
-    return 0 if report.passed else 1
-
 
 # -------------------------------------------------------------- alpha-scan
 
 
-def cmd_alpha_scan(args) -> int:
-    seed = _resolve_seed(args)
-    fam = _build_family(args)
+def cmd_alpha_scan(args, report):
+    fam = _build_family(args, report)
     jtag = J_CHOICES[args.J]
     J = build_complex_structure(jtag, fam.ambient_dim)
     ctx = HopfContext(fam, J)
 
     levels = args.level if args.level else [0.0]
-    report = SuiteReport(
-        command="alpha-scan",
-        params={
-            **_family_params(fam),
-            "J": jtag,
-            "levels": ",".join(f"{lv:g}" for lv in levels),
-        },
-        seed=seed,
-        samples=args.samples,
-    )
+    report.params.update(J=jtag, levels=",".join(f"{lv:g}" for lv in levels))
 
     level_stats = []
     csv_rows = []
     for level in levels:
-        records, summary = alpha_scan(ctx, level, args.samples, seed)
+        records, summary = alpha_scan(ctx, level, args.samples, report.seed)
         level_stats.append({"level": level, **summary})
         report.add(
             f"alpha-spread-level={level:g}",
@@ -439,31 +422,15 @@ def cmd_alpha_scan(args) -> int:
             "torsion form equals -128 at the recorded zero-level point",
         )
 
-    if args.csv:
-        path = f"{args.csv}-alpha.csv"
-        write_alpha_csv(path, csv_rows)
-        report.notes.append(f"wrote {path}")
-
-    _emit(report_body(report), args.out)
-    return 0 if report.passed else 1
+    return "alpha", lambda: (
+        [f.name for f in fields(AlphaSample)], map(astuple, csv_rows)
+    )
 
 
 # ----------------------------------------------------------------- riccati
 
 
-def _parse_float_list(text: str, flag: str) -> list:
-    try:
-        vals = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConstructionError(f"bad {flag} list {text!r}") from exc
-    if not vals:
-        raise ConstructionError(f"empty {flag} list")
-    if not all(math.isfinite(v) for v in vals):
-        raise ConstructionError(f"{flag} entries must be finite, got {text!r}")
-    return vals
-
-
-def cmd_riccati(args) -> int:
+def cmd_riccati(args, report):
     # A non-finite end point cannot be gridded or reported, zero RK4 steps
     # integrate nothing, and a non-finite --kappa or --mu0 entry (rejected
     # while parsing) poisons every branch it touches.
@@ -472,9 +439,8 @@ def cmd_riccati(args) -> int:
             raise ConstructionError(f"{flag} must be finite, got {value}")
     if args.steps < 1:
         raise ConstructionError(f"--steps must be at least 1, got {args.steps}")
-    seed = _resolve_seed(args)
-    kappas = _parse_float_list(args.kappa, "--kappa")
-    mu0 = _parse_float_list(args.mu0, "--mu0")
+    kappas = _parse_list(args.kappa, "--kappa", float)
+    mu0 = _parse_list(args.mu0, "--mu0", float)
     n = len(mu0)
     if len(kappas) == 1:
         if args.mult is not None:
@@ -488,21 +454,12 @@ def cmd_riccati(args) -> int:
         raise ConstructionError("--kappa takes one or two values")
     fam = riccati_family(jacobi, mu0)
 
-    report = SuiteReport(
-        command="riccati",
-        params={
-            "kappa": args.kappa,
-            "mult": args.mult if args.mult is not None else 0,
-            "mu0": args.mu0,
-            "t0": args.t0,
-            "t1": args.t1,
-            "steps": args.steps,
-        },
-        seed=seed,
-        samples=args.steps,
-    )
-
     t0, t1 = args.t0, args.t1
+    report.params.update(
+        kappa=args.kappa, mult=args.mult or 0, mu0=args.mu0,
+        t0=t0, t1=t1, steps=args.steps,
+    )
+    report.samples = args.steps
     if t0 >= t1:
         raise ConstructionError(f"empty time range [{t0}, {t1}]")
     # Checks run well inside the blow-up window: within 85% of the distance
@@ -529,9 +486,10 @@ def cmd_riccati(args) -> int:
     moments = [gamma_ij(fam, grid, i, 0) for i in range(1, 8)]
     scale = float(np.max(np.abs(moments), initial=1.0))
     closed = evolve_closed(fam, grid)
-    worst = float(np.max(np.abs(closed - evolve_numeric(fam, grid, args.steps))))
     report.add(
-        "closed-vs-numeric", worst / scale, TOL_RICCATI_EVOLVE,
+        "closed-vs-numeric",
+        np.abs(closed - evolve_numeric(fam, grid, args.steps)) / scale,
+        TOL_RICCATI_EVOLVE,
         "closed-branch evolution vs RK4, scaled by the moment magnitude",
     )
     report.add(
@@ -561,67 +519,51 @@ def cmd_riccati(args) -> int:
     distinct = len(set(zip(jacobi.kappas, mu0)))
     if n <= 8 and distinct == n:
         recovered = [moment_to_spectrum_evolution(fam, float(t)).values for t in grid]
-        worst_rt = float(np.max(np.abs(recovered - np.sort(closed)[:, ::-1])))
         report.add(
-            "moment-round-trip", worst_rt, TOL_RICCATI_ROUNDTRIP,
+            "moment-round-trip",
+            np.abs(recovered - np.sort(closed)[:, ::-1]),
+            TOL_RICCATI_ROUNDTRIP,
             "eigenvalues recovered from power sums vs the evolved multiset",
         )
     else:
         reason = "n > 8" if n > 8 else "repeated branches"
         report.notes.append(f"moment round-trip skipped: {reason}")
 
-    if args.csv:
-        path = f"{args.csv}-trajectory.csv"
-        write_trajectory_csv(path, fam, t0c, t1c, args.steps)
-        report.notes.append(f"wrote {path}")
-
-    _emit(report_body(report), args.out)
-    return 0 if report.passed else 1
+    return "trajectory", functools.partial(
+        trajectory_table, fam, t0c, t1c, args.steps
+    )
 
 
 # ---------------------------------------------------------------- spectrum
 
 
-def cmd_spectrum(args) -> int:
-    seed = _resolve_seed(args)
-    fam = _build_family(args)
+def cmd_spectrum(args, report):
+    fam = _build_family(args, report)
     level = args.level
     if abs(level) >= 1.0:
         raise ConstructionError(f"level t = {level} must satisfy |t| < 1")
-
-    report = SuiteReport(
-        command="spectrum",
-        params={**_family_params(fam), "level": level},
-        seed=seed,
-        samples=args.samples,
-    )
+    report.params["level"] = level
 
     checks = [
         munzner_check(
             frame_at(fam, level_project(fam, x, level).point),
             fam.g, fam.m1, fam.m2,
         )
-        for x in regular_sphere_points(fam, args.samples, seed)
+        for x in regular_sphere_points(fam, args.samples, report.seed)
     ]
     report.add(
-        "spectrum-match", max(c.max_deviation for c in checks), TOL_SPECTRUM,
+        "spectrum-match", [c.max_deviation for c in checks], TOL_SPECTRUM,
         "shape operator eigenvalues vs the cotangent-shift prediction",
     )
     report.add(
-        "orientation-flips", float(sum(c.orientation_flipped for c in checks)), 0.0,
+        "orientation-flips", sum(c.orientation_flipped for c in checks), 0.0,
         "count of points matching only after a global sign flip",
     )
     report.extra["expected_values"] = [float(v) for v in checks[0].expected]
 
-    if args.csv:
-        path = f"{args.csv}-recurrence.csv"
-        write_recurrence_csv(
-            path, fam.g, fam.m1, fam.m2, np.linspace(-0.8, 0.8, 33)
-        )
-        report.notes.append(f"wrote {path}")
-
-    _emit(report_body(report), args.out)
-    return 0 if report.passed else 1
+    return "recurrence", functools.partial(
+        recurrence_table, fam.g, fam.m1, fam.m2, np.linspace(-0.8, 0.8, 33)
+    )
 
 
 # ------------------------------------------------------------------ parser
@@ -724,13 +666,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one suite and return its exit code: 0 pass, 1 a gated check
+    failed, 2 a construction error; the JSON body goes to stdout or --out."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = SuiteReport(args.command, _seed(args))
+        side = args.func(args, report)
+        if side is not None and args.csv:
+            suffix, table = side
+            path = f"{args.csv}-{suffix}.csv"
+            write_csv(path, *table())
+            report.notes.append(f"wrote {path}")
+        text, code = report_body(report), 0 if report.passed else 1
     except (IsoparError, ValueError) as exc:
-        _emit(error_body(args.command, exc), getattr(args, "out", None))
-        return 2
+        text, code = error_body(args.command, exc), 2
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
+    return code
 
 
 def entry():

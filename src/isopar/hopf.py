@@ -31,13 +31,9 @@ CONTEXT_CHECK_SAMPLES = 50
 CONTEXT_CHECK_SEED = 911
 
 
-def _j_matrix(J):
-    return J.matrix if isinstance(J, ComplexStructure) else np.asarray(J, dtype=float)
-
-
-def s1_invariance_residual(P: IsoPolynomial, J, samples=50, seed=0) -> float:
+def s1_invariance_residual(P: IsoPolynomial, J: ComplexStructure, samples=50, seed=0) -> float:
     """Max |F(cos t z + sin t Jz) - F(z)| over seeded (z, theta) pairs."""
-    jm = _j_matrix(J)
+    jm = J.matrix
     if jm.shape != (P.ambient_dim, P.ambient_dim):
         raise ValueError("J has the wrong dimension for this family")
     zs = np.empty((samples, P.ambient_dim))
@@ -260,9 +256,8 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
         )
     else:
         phi_m = None
-    diff = (
-        max(abs(a - b) for a, b in zip(phi_sq, phi_m)) if phi_m is not None else 0.0
-    )
+    # np.max carries a NaN weight of either route into the difference.
+    diff = np.max(np.abs(np.subtract(phi_sq, phi_m))) if phi_m is not None else 0.0
     lam = np.array(lambdas)
     phi = np.array(phi_sq)
     moment_residuals = (
@@ -355,15 +350,3 @@ def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
         "std": float(alphas.std()),
     }
     return records, summary
-
-
-def write_alpha_csv(path, records) -> None:
-    """One row (index, level, alpha, omega, l) per AlphaSample; 17 significant
-    digits."""
-    with open(path, "w") as handle:
-        handle.write("index,level,alpha,omega,l\n")
-        for rec in records:
-            handle.write(
-                f"{rec.index},{rec.level:.17g},{rec.alpha:.17g},"
-                f"{rec.omega:.17g},{rec.l}\n"
-            )

@@ -10,12 +10,11 @@ power sums be propagated from derivatives of lower ones.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, IntegrationError
+from .errors import BlowUpError, ConstructionError, IntegrationError
 from .symmat import Spectrum, scalar_or_stack, spectrum_from_moments
 
 BLOWUP_BAND = 1e-3
@@ -43,17 +42,17 @@ class JacobiSpectrum:
 
 def space_form(c: float, n: int) -> JacobiSpectrum:
     if n < 1:
-        raise ValueError(f"n = {n} must be >= 1")
+        raise ConstructionError(f"n = {n} must be >= 1")
     return JacobiSpectrum(kappas=(float(c),) * n, tag=SPACE_FORM, c=float(c))
 
 
 def rank_one(kappa1: float, kappa2: float, m: int, n: int) -> JacobiSpectrum:
     if m not in (1, 3, 7):
-        raise ValueError(f"m = {m} must be one of 1, 3, 7")
+        raise ConstructionError(f"m = {m} must be one of 1, 3, 7")
     if n <= m:
-        raise ValueError(f"n = {n} must exceed m = {m}")
+        raise ConstructionError(f"n = {n} must exceed m = {m}")
     if kappa1 == kappa2:
-        raise ValueError("rank-one spectrum needs two distinct values")
+        raise ConstructionError("rank-one spectrum needs two distinct values")
     return JacobiSpectrum(
         kappas=(float(kappa1),) * (n - m) + (float(kappa2),) * m,
         tag=RANK_ONE,
@@ -131,8 +130,14 @@ class RiccatiFamily:
 def riccati_family(jacobi: JacobiSpectrum, mu0) -> RiccatiFamily:
     mu0 = tuple(float(v) for v in mu0)
     if len(mu0) != len(jacobi.kappas):
-        raise ValueError(
+        raise ConstructionError(
             f"got {len(mu0)} initial curvatures for {len(jacobi.kappas)} eigenvalues"
+        )
+    # A NaN branch has no pole, so it would narrow no interval and poison
+    # its column unseen.
+    if not np.all(np.isfinite(jacobi.kappas + mu0)):
+        raise ConstructionError(
+            f"kappa {jacobi.kappas} and mu0 {mu0} entries must be finite"
         )
     branches = tuple(_branch(k, v) for k, v in zip(jacobi.kappas, mu0))
     lower, upper = -np.inf, np.inf
@@ -373,24 +378,20 @@ def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> Spectrum:
     )
 
 
-def write_trajectory_csv(path, fam: RiccatiFamily, t0, t1, steps, k_max=4):
-    """Rows (t, mu_1.., Q_1..Q_kmax, H) with H = Q_1; 17 significant digits.
-
-    Times inside a blow-up band are skipped, so the file may be partial."""
+def trajectory_table(fam: RiccatiFamily, t0, t1, steps, k_max=4):
+    """Header and rows (t, mu_1.., Q_1..Q_kmax, H) with H = Q_1 over `steps`
+    evenly spaced times. Times inside a blow-up band are skipped, so the
+    table may have fewer rows."""
     n = len(fam.mu0)
     times = np.linspace(t0, t1, steps)
     times = times[_in_domain(fam, times)]
     mu = evolve_closed(fam, times)
     kappas = np.array(fam.jacobi.kappas)
     q = [_gamma(mu, kappas, k, 0) for k in range(1, k_max + 1)]
-    table = np.column_stack([times, mu, *q, np.sum(mu, axis=-1)])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["t"]
-            + [f"mu{i}" for i in range(1, n + 1)]
-            + [f"Q{k}" for k in range(1, k_max + 1)]
-            + ["H"]
-        )
-        writer.writerows([f"{value:.17g}" for value in row] for row in table)
-    return len(times)
+    header = (
+        ["t"]
+        + [f"mu{i}" for i in range(1, n + 1)]
+        + [f"Q{k}" for k in range(1, k_max + 1)]
+        + ["H"]
+    )
+    return header, np.column_stack([times, mu, *q, np.sum(mu, axis=-1)])

@@ -9,7 +9,6 @@ normal great circle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +23,7 @@ from .polyfam import (
     point_norm,
     profile_of,
 )
-from .symmat import Spectrum, SymmetricMatrix, eigensolve, rho_k, scalar_or_stack
+from .symmat import SymmetricMatrix, eigensolve, rho_k, scalar_or_stack
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
@@ -199,10 +198,6 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     )
 
 
-def shape_spectrum(frame: SpherePointFrame) -> Spectrum:
-    return eigensolve(frame.shape)
-
-
 def cotangent_shift(g: int, t) -> tuple:
     """cot(arccos(t)/g + i pi/g) for i = 0..g-1, descending for real t in
     (-1, 1) since cot decreases on (0, pi); t may be complex."""
@@ -253,7 +248,7 @@ def munzner_check(frame: SpherePointFrame, g: int, m1: int, m2: int) -> MunznerR
     orientation mismatch is distinguishable from a genuine failure.
     """
     expected = MunznerSpectrum.at_level(g, m1, m2, frame.f).values()
-    observed = shape_spectrum(frame).values
+    observed = eigensolve(frame.shape).values
     if len(expected) != len(observed):
         return MunznerReport(False, float("inf"), False, expected, observed)
     dev = float(np.max(np.abs(observed - expected)))
@@ -459,19 +454,18 @@ def transnormal_residuals(P: IsoPolynomial, x):
     return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
 
 
-def write_recurrence_csv(path, g, m1, m2, t_values, k_max=6):
-    """Table of (t, Q_1..Q_kmax, rhobar_0..rhobar_kmax), 17 significant digits."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = (
-            ["t"]
-            + [f"Q{k}" for k in range(1, k_max + 1)]
-            + [f"rhobar{k}" for k in range(0, k_max + 1)]
-        )
-        writer.writerow(header)
-        for t in t_values:
-            t = float(t)
-            row = [t]
-            row += [munzner_qk(g, m1, m2, t, k) for k in range(1, k_max + 1)]
-            row += [munzner_rhobar(g, m1, m2, t, k) for k in range(0, k_max + 1)]
-            writer.writerow([f"{value:.17g}" for value in row])
+def recurrence_table(g, m1, m2, t_values, k_max=6):
+    """Header and rows (t, Q_1..Q_kmax, rhobar_0..rhobar_kmax), one row per
+    level in t_values."""
+    header = (
+        ["t"]
+        + [f"Q{k}" for k in range(1, k_max + 1)]
+        + [f"rhobar{k}" for k in range(0, k_max + 1)]
+    )
+    rows = [
+        [t]
+        + [munzner_qk(g, m1, m2, t, k) for k in range(1, k_max + 1)]
+        + [munzner_rhobar(g, m1, m2, t, k) for k in range(0, k_max + 1)]
+        for t in map(float, t_values)
+    ]
+    return header, rows

@@ -4,8 +4,10 @@ Every invocation goes through cli.main(argv) in process; stdout is parsed
 back as JSON, so these double as schema checks.
 """
 
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +371,24 @@ class TestRiccati:
         assert doc["error"]["type"] == "ConstructionError"
         assert "--mult" in doc["error"]["message"]
 
+    def test_equal_kappas_are_construction_error(self, capsys):
+        code, doc = run_json(
+            capsys, ["riccati", "--kappa", "1,1", "--mult", "1", "--mu0", "0.1,0.2,0.3"]
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert "distinct" in doc["error"]["message"]
+
+    def test_nan_in_a_later_gated_row_reaches_max_residual(self, capsys, monkeypatch):
+        # mixed-trace-recurrence is the third gated row; the builtin max
+        # kept the finite rows before it.
+        monkeypatch.setattr(cli, "check_gamma_recurrence", lambda fam, grid: np.nan)
+        code, doc = run_json(capsys, ["riccati", "--kappa", "1", "--mu0", "0.4,-0.2"])
+        assert code == 1
+        assert doc["max_residual"] == "nan"
+        row = next(r for r in doc["details"] if r["name"] == "mixed-trace-recurrence")
+        assert row["residual"] == "nan"
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--t0", "nan"), ("--t0", "-inf"), ("--t1", "inf"), ("--t1", "nan"),
@@ -438,6 +458,26 @@ class TestSpectrum:
         header = (tmp_path / "lvl-recurrence.csv").read_text().splitlines()[0]
         assert header.startswith("t,Q1")
 
+    def test_nan_deviation_at_a_later_sample_fails(self, capsys, monkeypatch):
+        calls = []
+        check = cli.munzner_check
+
+        def poisoned(*args):
+            calls.append(None)
+            report = check(*args)
+            if len(calls) == 3:
+                return dataclasses.replace(report, max_deviation=float("nan"))
+            return report
+
+        monkeypatch.setattr(cli, "munzner_check", poisoned)
+        code, doc = run_json(
+            capsys, ["spectrum", "--family", "cartan", "--m", "1",
+                     "--samples", "5", "--level", "0.2"]
+        )
+        assert code == 1
+        assert len(calls) == 5
+        assert doc["details"][0]["residual"] == "nan"
+
     def test_focal_level_is_usage_error(self, capsys):
         code, doc = run_json(
             capsys, ["spectrum", "--family", "cartan", "--m", "1",
@@ -468,6 +508,36 @@ class TestReportContract:
         )
         assert code == 0
         assert doc["seed"] == 31415
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-cm", "--family", "fkm", "--m", "1", "--r", "3"],
+            ["verify-hidden", "--family", "fkm", "--m", "1", "--r", "3"],
+            ["alpha-scan", "--family", "fkm", "--m", "1", "--r", "3"],
+            ["spectrum", "--family", "fkm", "--m", "1", "--r", "3"],
+            ["riccati", "--kappa", "1", "--mu0", "0.4,-0.2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "source,env,flag",
+        [("--seed", None, "-5"), ("ISOPAR_SEED", "-3", "5"),
+         ("ISOPAR_SEED", "x7", "5"), ("ISOPAR_SEED", "", "5")],
+        ids=["negative-flag", "negative-env", "word-env", "empty-env"],
+    )
+    def test_bad_seed_is_usage_error(self, capsys, monkeypatch, argv, source, env, flag):
+        def no_build(*args):
+            raise AssertionError("family built before the seed was checked")
+
+        monkeypatch.setattr(cli, "make_fkm", no_build)
+        monkeypatch.setattr(cli, "riccati_family", no_build)
+        if env is not None:
+            monkeypatch.setenv("ISOPAR_SEED", env)
+        code, doc = run_json(capsys, argv + [f"--seed={flag}"])
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert doc["error"]["message"].startswith(f"{source} must be a non-negative")
 
     def test_out_file_replaces_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -544,3 +614,24 @@ def test_cli_import_loads_no_scipy():
         text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def readme_commands():
+    """The fenced command block under "Command line" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=shlex.join)
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
+    # Keeps the README examples in step with the parser and the suites.
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["pass"] is True
+    if "--csv" in argv:
+        prefix = argv[argv.index("--csv") + 1]
+        written = [path.name for path in tmp_path.glob(f"{prefix}-*.csv")]
+        assert len(written) == 1
+        assert doc["notes"][-1] == f"wrote {written[0]}"

@@ -246,6 +246,23 @@ class TestPhiDecomposition:
             assert dec.phi_sq_moment is not None
             assert dec.route_difference < 1e-8
 
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_nan_weight_reaches_route_difference(self, monkeypatch, index):
+        # A NaN in a later moment-route weight must not be dropped by the
+        # reduction, as the builtin max did after a finite first weight.
+        ctx = context("fkm24-block")
+        solve = hopf.vandermonde_solve
+
+        def poisoned(nodes, moments):
+            weights = np.array(solve(nodes, moments), dtype=float)
+            weights[index] = np.nan
+            return weights
+
+        monkeypatch.setattr(hopf, "vandermonde_solve", poisoned)
+        x = regular_sphere_points(ctx.P, 1, 107)[0]
+        dec = phi_decomposition(ctx, frame_at(ctx.P, x))
+        assert np.isnan(dec.route_difference)
+
     def test_weight_count_bounds(self):
         ctx = context("fkm24-block")
         x = regular_sphere_points(ctx.P, 1, 109)[0]

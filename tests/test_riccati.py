@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isopar import riccati as rc
-from isopar.errors import BlowUpError, IllPosedMomentsError, IntegrationError
+from isopar.cli import write_csv
+from isopar.errors import (
+    BlowUpError,
+    ConstructionError,
+    IllPosedMomentsError,
+    IntegrationError,
+)
 from isopar.spherelevel import MunznerSpectrum
 
 
@@ -46,7 +52,7 @@ class TestConstruction:
         assert jac.c == 2.5
 
     def test_space_form_needs_positive_dimension(self):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ConstructionError, match="must be >= 1"):
             rc.space_form(1.0, 0)
 
     def test_rank_one_block_layout(self):
@@ -58,20 +64,36 @@ class TestConstruction:
 
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 8])
     def test_rank_one_multiplicity_restricted(self, m):
-        with pytest.raises(ValueError, match="one of 1, 3, 7"):
+        with pytest.raises(ConstructionError, match="one of 1, 3, 7"):
             rc.rank_one(1.0, 4.0, m, 9)
 
     def test_rank_one_needs_room_for_both_blocks(self):
-        with pytest.raises(ValueError, match="must exceed"):
+        with pytest.raises(ConstructionError, match="must exceed"):
             rc.rank_one(1.0, 4.0, 3, 3)
 
     def test_rank_one_rejects_equal_values(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ConstructionError, match="distinct"):
             rc.rank_one(2.0, 2.0, 1, 4)
 
     def test_family_checks_curvature_count(self):
-        with pytest.raises(ValueError, match="initial curvatures"):
+        with pytest.raises(ConstructionError, match="initial curvatures"):
             rc.riccati_family(rc.space_form(1.0, 3), (0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "jacobi,mu0",
+        [
+            (rc.space_form(1.0, 2), (np.nan, 0.2)),
+            (rc.space_form(1.0, 2), (0.1, np.inf)),
+            (rc.space_form(np.nan, 2), (0.1, 0.2)),
+            (rc.rank_one(1.0, -np.inf, 1, 2), (0.1, 0.2)),
+        ],
+        ids=["nan-mu0", "inf-mu0", "nan-kappa", "inf-kappa"],
+    )
+    def test_family_rejects_non_finite_entries(self, jacobi, mu0):
+        # A NaN branch has no pole; the family used to build with a NaN
+        # column inside an interval set by the other branches.
+        with pytest.raises(ConstructionError, match="must be finite"):
+            rc.riccati_family(jacobi, mu0)
 
     def test_family_is_frozen(self):
         fam = rc.riccati_family(rc.space_form(1.0, 2), (0.0, 0.5))
@@ -458,8 +480,9 @@ class TestTrajectoryCsv:
             rc.rank_one(1.0, 4.0, 1, 4), (0.9, -0.3, 0.25, 1.1)
         )
         path = tmp_path / "traj.csv"
-        written = rc.write_trajectory_csv(path, fam, -0.3, 0.3, 13, k_max=4)
-        assert written == 13
+        header, rows = rc.trajectory_table(fam, -0.3, 0.3, 13, k_max=4)
+        write_csv(path, header, rows)
+        assert len(rows) == 13
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,mu1,mu2,mu3,mu4,Q1,Q2,Q3,Q4,H"
         assert len(lines) == 14
@@ -473,7 +496,9 @@ class TestTrajectoryCsv:
     def test_blow_up_rows_are_skipped(self, tmp_path):
         fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))  # pole at 0.5
         path = tmp_path / "traj.csv"
-        written = rc.write_trajectory_csv(path, fam, 0.0, 1.0, 11)
+        header, rows = rc.trajectory_table(fam, 0.0, 1.0, 11)
+        write_csv(path, header, rows)
+        written = len(rows)
         assert 0 < written < 11
         lines = path.read_text().strip().splitlines()
         assert len(lines) == written + 1

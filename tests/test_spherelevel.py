@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isopar import spherelevel
+from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
 from isopar.polyfam import eval_F, eval_grad, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
@@ -18,12 +19,12 @@ from isopar.spherelevel import (
     munzner_rhobar,
     orthonormal_complement,
     qk_recurrence_check,
+    recurrence_table,
     regular_sphere_points,
     rhobar_recurrence_check,
-    shape_spectrum,
     transnormal_residuals,
-    write_recurrence_csv,
 )
+from isopar.symmat import eigensolve
 
 _cache = {}
 
@@ -279,7 +280,7 @@ class TestMunznerSpectrum:
     def test_multiplicity_pattern(self):
         fam = family("fkm24")
         x = regular_sphere_points(fam, 1, 29)[0]
-        spec = shape_spectrum(frame_at(fam, x))
+        spec = eigensolve(frame_at(fam, x).shape)
         assert sum(spec.multiplicities()) == fam.n
         assert sorted(spec.multiplicities()) == sorted((2, 1, 2, 1))
 
@@ -418,7 +419,7 @@ class TestCsv:
     def test_recurrence_table_round_trips(self, tmp_path):
         path = tmp_path / "table.csv"
         ts = np.linspace(-0.5, 0.5, 5)
-        write_recurrence_csv(path, 4, 2, 1, ts)
+        write_csv(path, *recurrence_table(4, 2, 1, ts))
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "t"
