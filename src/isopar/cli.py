@@ -439,20 +439,20 @@ def cmd_riccati(args, report):
             raise ConstructionError(f"{flag} must be finite, got {value}")
     if args.steps < 1:
         raise ConstructionError(f"--steps must be at least 1, got {args.steps}")
-    kappas = _parse_list(args.kappa, "--kappa", float)
+    values = _parse_list(args.kappa, "--kappa", float)
     mu0 = _parse_list(args.mu0, "--mu0", float)
     n = len(mu0)
-    if len(kappas) == 1:
+    if len(values) == 1:
         if args.mult is not None:
             raise ConstructionError("--mult needs two --kappa values")
-        jacobi = space_form(kappas[0], n)
-    elif len(kappas) == 2:
+        kappas = space_form(values[0], n)
+    elif len(values) == 2:
         if args.mult is None:
             raise ConstructionError("two curvature values need --mult")
-        jacobi = rank_one(kappas[0], kappas[1], args.mult, n)
+        kappas = rank_one(values[0], values[1], args.mult, n)
     else:
         raise ConstructionError("--kappa takes one or two values")
-    fam = riccati_family(jacobi, mu0)
+    fam = riccati_family(kappas, mu0)
 
     t0, t1 = args.t0, args.t1
     report.params.update(
@@ -516,7 +516,7 @@ def cmd_riccati(args, report):
     # Recovery from power sums is well-posed only for pairwise distinct
     # values: a root of multiplicity m reacts to coefficient noise like
     # noise^(1/m), so tied branches are excluded rather than mis-scored.
-    distinct = len(set(zip(jacobi.kappas, mu0)))
+    distinct = len(set(zip(kappas, mu0)))
     if n <= 8 and distinct == n:
         recovered = [moment_to_spectrum_evolution(fam, float(t)).values for t in grid]
         report.add(
@@ -584,11 +584,20 @@ def _add_common_flags(sub, samples_default):
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConstructionError in place of printing usage
+    and exiting, so main reports it as JSON with exit 2; subparsers share
+    the class, and --help still prints and exits 0."""
+
+    def error(self, message):
+        raise ConstructionError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isopar",
         description="numerical verification suites for isoparametric polynomials",
     )
@@ -667,10 +676,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one suite and return its exit code: 0 pass, 1 a gated check
-    failed, 2 a construction error; the JSON body goes to stdout or --out."""
-    args = build_parser().parse_args(argv)
+    failed, 2 a usage, construction or file error; the JSON body goes to
+    stdout or --out, and to stdout when --out cannot be written."""
+    argv = sys.argv[1:] if argv is None else argv
+    # Until parsing succeeds, the command is the first word unless it is a flag.
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    out = None
     try:
-        report = SuiteReport(args.command, _seed(args))
+        args = build_parser().parse_args(argv)
+        command, out = args.command, args.out
+        report = SuiteReport(command, _seed(args))
         side = args.func(args, report)
         if side is not None and args.csv:
             suffix, table = side
@@ -678,13 +693,16 @@ def main(argv=None) -> int:
             write_csv(path, *table())
             report.notes.append(f"wrote {path}")
         text, code = report_body(report), 0 if report.passed else 1
-    except (IsoparError, ValueError) as exc:
-        text, code = error_body(args.command, exc), 2
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    except (IsoparError, ValueError, OSError) as exc:
+        text, code = error_body(command, exc), 2
+    if out:
+        try:
+            with open(out, "w") as handle:
+                handle.write(text + "\n")
+            return code
+        except OSError as exc:
+            text, code = error_body(command, exc), 2
+    print(text)
     return code
 
 

@@ -2,10 +2,17 @@
 
 For curvature-adapted hypersurface families each principal curvature obeys
 the scalar Riccati equation mu' = mu^2 + kappa with its own Jacobi
-eigenvalue kappa. This module carries the per-branch closed forms with
-their analytic derivatives, an RK4 cross-check, the mixed trace moments
-Gamma_ij(t) = tr(S^i R^j), and the inductive identities that let higher
-power sums be propagated from derivatives of lower ones.
+eigenvalue kappa. Its closed form runs through the Jacobi pair, the
+generalized cosine C and sine S with C'' = -kappa C, S'' = -kappa S,
+C(0) = S'(0) = 1 and C'(0) = S(0) = 0:
+
+    mu = (kappa S + C mu0) / (C - S mu0),  mu' = (kappa + mu0^2) / (C - S mu0)^2,
+
+the derivative read off the constant Wronskian. Blow-ups are the zeros of
+C - S mu0. This module carries that closed form, an RK4 cross-check, the
+mixed trace moments Gamma_ij(t) = tr(S^i R^j), and the inductive
+identities that let higher power sums be propagated from derivatives of
+lower ones.
 """
 
 from __future__ import annotations
@@ -20,136 +27,71 @@ from .symmat import Spectrum, scalar_or_stack, spectrum_from_moments
 BLOWUP_BAND = 1e-3
 OVERFLOW_LIMIT = 1e12
 
-SPACE_FORM = "space-form"
-RANK_ONE = "rank-one"
 
-
-@dataclass(frozen=True)
-class JacobiSpectrum:
-    """Eigenvalues of the (parallel, diagonal) Jacobi operator R.
-
-    space-form: all equal to c. rank-one: two values with multiplicities
-    (n - m, m), m in {1, 3, 7}.
-    """
-
-    kappas: tuple
-    tag: str
-    c: float | None = None
-    kappa1: float | None = None
-    kappa2: float | None = None
-    m: int | None = None
-
-
-def space_form(c: float, n: int) -> JacobiSpectrum:
+def space_form(c: float, n: int) -> tuple:
+    """Eigenvalues of the Jacobi operator R of a space form: n copies of c."""
     if n < 1:
         raise ConstructionError(f"n = {n} must be >= 1")
-    return JacobiSpectrum(kappas=(float(c),) * n, tag=SPACE_FORM, c=float(c))
+    return (float(c),) * n
 
 
-def rank_one(kappa1: float, kappa2: float, m: int, n: int) -> JacobiSpectrum:
+def rank_one(kappa1: float, kappa2: float, m: int, n: int) -> tuple:
+    """Eigenvalues of R in a rank-one space: the kappa1 block (n - m copies)
+    first, then the kappa2 block (m copies), m in {1, 3, 7}."""
     if m not in (1, 3, 7):
         raise ConstructionError(f"m = {m} must be one of 1, 3, 7")
     if n <= m:
         raise ConstructionError(f"n = {n} must exceed m = {m}")
     if kappa1 == kappa2:
         raise ConstructionError("rank-one spectrum needs two distinct values")
-    return JacobiSpectrum(
-        kappas=(float(kappa1),) * (n - m) + (float(kappa2),) * m,
-        tag=RANK_ONE,
-        kappa1=float(kappa1),
-        kappa2=float(kappa2),
-        m=m,
-    )
+    return (float(kappa1),) * (n - m) + (float(kappa2),) * m
 
 
-def _branch(kappa, mu0):
-    """Closed-form branch for mu' = mu^2 + kappa, mu(0) = mu0.
-
-    Returns (kind, omega, c0, poles). kinds: 'cot', 'linear', 'zero',
-    'tanh', 'coth', 'const'.
-    """
+def _poles(kappa, mu0):
+    """Zeros of C - S mu0 nearest t = 0 on each side, where they exist."""
     if kappa > 0.0:
         omega = np.sqrt(kappa)
         c0 = (0.5 * np.pi - np.arctan(mu0 / omega)) / omega  # arccot into (0, pi)
-        return "cot", omega, c0, (c0 - np.pi / omega, c0)
+        return c0 - np.pi / omega, c0
     if kappa == 0.0:
-        if mu0 == 0.0:
-            return "zero", 0.0, 0.0, ()
-        return "linear", 0.0, mu0, (1.0 / mu0,)
+        return (1.0 / mu0,) if mu0 != 0.0 else ()
     omega = np.sqrt(-kappa)
-    if abs(mu0) < omega:
-        return "tanh", omega, np.arctanh(mu0 / omega) / omega, ()
-    if abs(mu0) > omega:
-        return "coth", omega, np.arctanh(omega / mu0) / omega, (
-            np.arctanh(omega / mu0) / omega,
-        )
-    return "const", omega, mu0, ()
-
-
-def _mu_closed(branch, t):
-    kind, omega, c0, _ = branch
-    if kind == "cot":
-        u = omega * (c0 - t)
-        return omega * np.cos(u) / np.sin(u)
-    if kind == "linear":
-        return c0 / (1.0 - c0 * t)
-    if kind == "tanh":
-        return omega * np.tanh(omega * (c0 - t))
-    if kind == "coth":
-        return omega / np.tanh(omega * (c0 - t))
-    return c0  # const, and zero with c0 = 0
-
-
-def _dmu_closed(branch, t):
-    """Analytic derivative of the closed form; distinct expressions from
-    mu^2 + kappa, so identity checks against the flow are not circular."""
-    kind, omega, c0, _ = branch
-    if kind == "cot":
-        return omega**2 / np.sin(omega * (c0 - t)) ** 2
-    if kind == "linear":
-        return c0**2 / (1.0 - c0 * t) ** 2
-    if kind == "tanh":
-        return -(omega**2) / np.cosh(omega * (c0 - t)) ** 2
-    if kind == "coth":
-        return omega**2 / np.sinh(omega * (c0 - t)) ** 2
-    return 0.0  # const and zero
+    return (np.arctanh(omega / mu0) / omega,) if abs(mu0) > omega else ()
 
 
 @dataclass(frozen=True)
 class RiccatiFamily:
-    """A Jacobi spectrum with initial principal curvatures and the open time
-    interval (t_lower, t_upper) between the nearest blow-ups around 0."""
+    """Jacobi eigenvalues with initial principal curvatures and the open
+    time interval (t_lower, t_upper) between the nearest blow-ups around 0."""
 
-    jacobi: JacobiSpectrum
+    kappas: tuple
     mu0: tuple
-    branches: tuple
     t_lower: float
     t_upper: float
 
 
-def riccati_family(jacobi: JacobiSpectrum, mu0) -> RiccatiFamily:
+def riccati_family(kappas, mu0) -> RiccatiFamily:
+    kappas = tuple(float(v) for v in kappas)
     mu0 = tuple(float(v) for v in mu0)
-    if len(mu0) != len(jacobi.kappas):
+    if len(mu0) != len(kappas):
         raise ConstructionError(
-            f"got {len(mu0)} initial curvatures for {len(jacobi.kappas)} eigenvalues"
+            f"got {len(mu0)} initial curvatures for {len(kappas)} eigenvalues"
         )
     # A NaN branch has no pole, so it would narrow no interval and poison
     # its column unseen.
-    if not np.all(np.isfinite(jacobi.kappas + mu0)):
+    if not np.all(np.isfinite(kappas + mu0)):
         raise ConstructionError(
-            f"kappa {jacobi.kappas} and mu0 {mu0} entries must be finite"
+            f"kappa {kappas} and mu0 {mu0} entries must be finite"
         )
-    branches = tuple(_branch(k, v) for k, v in zip(jacobi.kappas, mu0))
     lower, upper = -np.inf, np.inf
-    for branch in branches:
-        for pole in branch[3]:
+    for kappa, start in zip(kappas, mu0):
+        for pole in _poles(kappa, start):
             if pole <= 0.0:
                 lower = max(lower, pole)
             else:
                 upper = min(upper, pole)
     return RiccatiFamily(
-        jacobi=jacobi, mu0=mu0, branches=branches,
-        t_lower=float(lower), t_upper=float(upper),
+        kappas=kappas, mu0=mu0, t_lower=float(lower), t_upper=float(upper)
     )
 
 
@@ -157,12 +99,48 @@ def _in_domain(fam: RiccatiFamily, t):
     return (fam.t_lower + BLOWUP_BAND < t) & (t < fam.t_upper - BLOWUP_BAND)
 
 
+def _jacobi_pair(kappas, mu0, t):
+    """The Jacobi pair at every (time, eigenvalue), returned as
+    (kappa, s, E, S).
+
+    C and S are (cos, sin/omega) for kappa > 0, (1, t) for kappa = 0 and
+    (cosh, sinh/omega) for kappa < 0, with omega = sqrt|kappa|. C is
+    carried as E + s S, where s is the constant solution +-omega nearest
+    mu0 for kappa < 0 (0 otherwise) and E = C - s S = exp(-s t) is computed
+    directly: mu0 = s then stays exact at every time, where cosh - sinh
+    would cancel to zero once omega |t| nears 18. kappa comes back as
+    sign(kappa) omega^2, whose constant solutions are exactly +-omega."""
+    pos, neg = kappas > 0.0, kappas < 0.0
+    omega = np.sqrt(np.abs(kappas))
+    shift = np.where(neg, np.copysign(omega, mu0), 0.0)
+    arg = np.multiply.outer(t, omega)
+    E = np.ones_like(arg)
+    S = np.multiply.outer(t, np.ones_like(omega))
+    E[:, pos], S[:, pos] = np.cos(arg[:, pos]), np.sin(arg[:, pos]) / omega[pos]
+    # Past omega |t| = 350 a hyperbolic branch sits at its limit to machine
+    # precision, so clipping there changes no value and keeps sinh finite.
+    x = np.clip(arg[:, neg], -350.0, 350.0)
+    E[:, neg], S[:, neg] = np.exp(-np.sign(shift[neg]) * x), np.sinh(x) / omega[neg]
+    return np.sign(kappas) * omega**2, shift, E, S
+
+
+def _mu(mu0, kappa, shift, E, S):
+    """(kappa S + C mu0) / (C - S mu0) with C = E + s S."""
+    return (mu0 * E + (kappa + shift * mu0) * S) / (E + (shift - mu0) * S)
+
+
+def _dmu(mu0, kappa, shift, E, S):
+    """The constant Wronskian kappa + mu0^2 over (C - S mu0)^2."""
+    return (kappa + mu0**2) / (E + (shift - mu0) * S) ** 2
+
+
 def _closed_table(fam: RiccatiFamily, t, form) -> np.ndarray:
-    """One closed form per branch: shape (n,) at one time, t.shape + (n,)
-    at an array of times. Raises BlowUpError naming the first time outside
-    the safe interval. A single time is evaluated as a one-row array too:
-    numpy squares a scalar with libm pow but an array exactly, so only this
-    keeps every row bit-identical to the single-time call."""
+    """form(mu0, *pair) over the Jacobi pair: shape (n,) at one
+    time, t.shape + (n,) at an array of times. Raises BlowUpError naming
+    the first time outside the safe interval. A single time is evaluated
+    as a one-row array too: numpy squares a scalar with libm pow but an
+    array exactly, so only this keeps every row bit-identical to the
+    single-time call."""
     t = np.asarray(t, dtype=float)
     ok = _in_domain(fam, t)
     if not ok.all():
@@ -172,20 +150,22 @@ def _closed_table(fam: RiccatiFamily, t, form) -> np.ndarray:
             f"({fam.t_lower + BLOWUP_BAND:.6g}, {fam.t_upper - BLOWUP_BAND:.6g})",
             time=fam.t_upper if bad > 0 else fam.t_lower,
         )
-    grid = t.reshape(-1)
-    columns = [np.broadcast_to(form(b, grid), grid.shape) for b in fam.branches]
-    return np.stack(columns, axis=-1).reshape(t.shape + (len(columns),))
+    kappas, mu0 = np.array(fam.kappas), np.array(fam.mu0)
+    table = form(mu0, *_jacobi_pair(kappas, mu0, t.reshape(-1)))
+    return table.reshape(t.shape + kappas.shape)
 
 
 def evolve_closed(fam: RiccatiFamily, t) -> np.ndarray:
-    """Principal curvatures from the per-branch closed forms: one time gives
-    shape (n,), an array of times t.shape + (n,)."""
-    return _closed_table(fam, t, _mu_closed)
+    """Principal curvatures from the closed form: one time gives shape
+    (n,), an array of times t.shape + (n,)."""
+    return _closed_table(fam, t, _mu)
 
 
 def evolve_derivative(fam: RiccatiFamily, t) -> np.ndarray:
-    """Analytic d mu / dt, shaped like evolve_closed."""
-    return _closed_table(fam, t, _dmu_closed)
+    """Analytic d mu / dt from the Wronskian, shaped like evolve_closed; an
+    expression distinct from mu^2 + kappa, so identity checks against the
+    flow are not circular."""
+    return _closed_table(fam, t, _dmu)
 
 
 def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
@@ -200,7 +180,7 @@ def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     mu = np.broadcast_to(np.array(fam.mu0), t.shape + (len(fam.mu0),))
-    kappas = np.array(fam.jacobi.kappas)
+    kappas = np.array(fam.kappas)
     h = (t / steps)[..., None]
     rhs = lambda m: m * m + kappas
     for _ in range(steps):
@@ -235,14 +215,12 @@ def gamma_ij(fam: RiccatiFamily, t, i: int, j: int):
     """Mixed trace moment Gamma_ij(t) = tr(S^i R^j) = sum mu^i kappa^j: a
     float at one time, an array shaped like t at an array of times.
     Gamma_i0 is the power sum Q_i = tr S^i."""
-    return scalar_or_stack(
-        _gamma(evolve_closed(fam, t), np.array(fam.jacobi.kappas), i, j)
-    )
+    return scalar_or_stack(_gamma(evolve_closed(fam, t), np.array(fam.kappas), i, j))
 
 
 def _flow(fam: RiccatiFamily, t):
     """mu, mu' and the kappas, each time evaluated once."""
-    return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.jacobi.kappas)
+    return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.kappas)
 
 
 def gamma_derivative(fam: RiccatiFamily, t, i: int, j: int):
@@ -278,27 +256,26 @@ def check_gamma_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 5) -> flo
     ])
 
 
-def _block_split(jac: JacobiSpectrum, mu, i: int, j: int):
-    kappas = np.array(jac.kappas)
-    if jac.tag == SPACE_FORM:
-        return jac.c**j * _gamma(mu, kappas, i, 0)
-    k1, k2 = jac.kappa1, jac.kappa2
+def _block_split(kappas, mu, i: int, j: int):
+    """Gamma_ij recovered without powering the spectrum directly.
+
+    One distinct kappa value c: Gamma_ij = c^j Q_i. Two values: the traces
+    of S^i over the two R-eigenspaces follow from the pair (Q_i, Gamma_i1)
+    by a 2x2 solve, after which any kappa power can be attached."""
+    values = tuple(dict.fromkeys(kappas))
+    if len(values) > 2:
+        raise ValueError(
+            f"block split needs at most two distinct kappa values, got {len(values)}"
+        )
+    kappas = np.array(kappas)
     qi = _gamma(mu, kappas, i, 0)
+    if len(values) == 1:
+        return values[0] ** j * qi
+    k1, k2 = values
     gi1 = _gamma(mu, kappas, i, 1)
     tr_a = (gi1 - k2 * qi) / (k1 - k2)
     tr_c = (k1 * qi - gi1) / (k1 - k2)
     return k1**j * tr_a + k2**j * tr_c
-
-
-def gamma_block_split(fam: RiccatiFamily, t, i: int, j: int):
-    """Gamma_ij recovered without powering the spectrum directly, shaped
-    like gamma_ij.
-
-    Space forms: Gamma_ij = c^j Q_i. Rank-one spectra: the block traces
-    tr(A_i), tr(C_i) of S^i over the two R-eigenspaces follow from the pair
-    (Q_i, Gamma_i1) by a 2x2 solve, after which any kappa power can be
-    attached."""
-    return scalar_or_stack(_block_split(fam.jacobi, evolve_closed(fam, t), i, j))
 
 
 @dataclass(frozen=True)
@@ -331,7 +308,7 @@ def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
     g11_chain = 0.5 * deriv(2, 0) - gamma(3, 0)
     g21_chain = deriv(1, 1) - tr_r2
     q4_chain = deriv(3, 0) / 3.0 - g21_chain
-    g31_chain = 0.5 * deriv(2, 1) - _block_split(fam.jacobi, mu, 1, 2)
+    g31_chain = 0.5 * deriv(2, 1) - _block_split(fam.kappas, mu, 1, 2)
     q5_chain = deriv(4, 0) / 4.0 - g31_chain
     return MomentChainReport(
         gamma11=_worst(g11_chain - gamma(1, 1)),
@@ -342,37 +319,11 @@ def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
     )
 
 
-def _blocks(fam: RiccatiFamily):
-    """Slices of the kappa1 and kappa2 blocks of a rank-one spectrum."""
-    if fam.jacobi.tag != RANK_ONE:
-        raise ValueError("split moments need a rank-one spectrum")
-    cut = len(fam.mu0) - fam.jacobi.m
-    return slice(None, cut), slice(cut, None)
-
-
-def phi_psi_split(fam: RiccatiFamily, t, i: int):
-    """(Phi_i, Psi_i): the power sum split over the two R-eigenspace blocks
-    of a rank-one spectrum, each shaped like gamma_ij."""
-    blocks = _blocks(fam)
-    mu, kappas = evolve_closed(fam, t), np.array(fam.jacobi.kappas)
-    return tuple(scalar_or_stack(_gamma(mu[..., b], kappas[b], i, 0)) for b in blocks)
-
-
-def phi_psi_derivative(fam: RiccatiFamily, t, i: int):
-    """Analytic derivatives of the split power sums."""
-    blocks = _blocks(fam)
-    mu, dmu, kappas = _flow(fam, t)
-    return tuple(
-        scalar_or_stack(_gamma_derivative(mu[..., b], dmu[..., b], kappas[b], i, 0))
-        for b in blocks
-    )
-
-
 def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> Spectrum:
     """Recover the evolved curvature multiset at one time from its first n
     power sums."""
     n = len(fam.mu0)
-    mu, kappas = evolve_closed(fam, t), np.array(fam.jacobi.kappas)
+    mu, kappas = evolve_closed(fam, t), np.array(fam.kappas)
     return spectrum_from_moments(
         [float(_gamma(mu, kappas, i, 0)) for i in range(1, n + 1)], n
     )
@@ -386,7 +337,7 @@ def trajectory_table(fam: RiccatiFamily, t0, t1, steps, k_max=4):
     times = np.linspace(t0, t1, steps)
     times = times[_in_domain(fam, times)]
     mu = evolve_closed(fam, times)
-    kappas = np.array(fam.jacobi.kappas)
+    kappas = np.array(fam.kappas)
     q = [_gamma(mu, kappas, k, 0) for k in range(1, k_max + 1)]
     header = (
         ["t"]

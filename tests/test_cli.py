@@ -103,9 +103,22 @@ class TestVerifyCm:
         assert "needs --m" in doc["error"]["message"]
 
     def test_unknown_family_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["verify-cm", "--family", "veronese"])
-        capsys.readouterr()
+        # A usage error is reported as JSON with exit 2, like any other.
+        for argv in (["verify-cm", "--family", "veronese"],
+                     ["verify-cm", "--family", "cartan", "--m", "1", "--samples", "x"]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            assert doc["command"] == "verify-cm"
+            assert doc["pass"] is False
+            assert doc["error"]["type"] == "ConstructionError"
+            assert doc["error"]["message"].startswith("isopar verify-cm: argument --")
+            assert argv[-1] in doc["error"]["message"]
+        code, doc = run_json(capsys, ["--seed", "3", "verify-cm"])
+        assert code == 2
+        assert doc["command"] is None  # a flag is not a command
 
 
 class TestVerifyHidden:
@@ -396,7 +409,7 @@ class TestRiccati:
          ("--kappa", "1,-inf"), ("--mu0", "nan,0.2"), ("--mu0", "0.4,inf")],
     )
     def test_bad_time_grid_is_usage_error(self, capsys, monkeypatch, flag, value):
-        def no_build(jacobi, mu0):
+        def no_build(kappas, mu0):
             raise AssertionError("riccati family built before the grid was checked")
 
         monkeypatch.setattr(cli, "riccati_family", no_build)
@@ -574,6 +587,34 @@ class TestReportContract:
         assert doc["pass"] is False
         assert doc["error"]["type"] == "ConstructionError"
         assert "--samples" in doc["error"]["message"]
+
+    def test_unwritable_csv_is_json_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, doc = run_json(
+            capsys, ["spectrum", "--family", "cartan", "--m", "1", "--samples", "3",
+                     "--csv", "missing-dir/p"]
+        )
+        assert code == 2
+        assert doc["command"] == "spectrum"
+        assert doc["error"]["type"] == "FileNotFoundError"
+        assert "missing-dir/p-recurrence.csv" in doc["error"]["message"]
+
+    def test_unwritable_out_reports_on_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, doc = run_json(
+            capsys, ["spectrum", "--family", "cartan", "--m", "1", "--samples", "3",
+                     "--out", "missing-dir/x.json"]
+        )
+        assert code == 2
+        assert doc["command"] == "spectrum"
+        assert doc["error"]["type"] == "FileNotFoundError"
+        assert "missing-dir/x.json" in doc["error"]["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["riccati", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: isopar riccati")
 
     def test_library_error_is_json_not_traceback(self, capsys, monkeypatch):
         # Every sample now sits on a focal level, so the sampler gives up.

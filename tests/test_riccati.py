@@ -2,8 +2,9 @@
 
 Oracles: an independent RK4 integrator, central differences of the closed
 forms, hand-reduced special solutions (tan, 1/(1-t), -tanh), matrix-trace
-recomputation of the mixed moments, and the cotangent-shift law for the
-round sphere.
+recomputation of the mixed moments, the cotangent-shift law for the round
+sphere, and, where sympy and mpmath are installed, a symbolic check of the
+Jacobi-pair algebra and a 40-digit evaluation of the closed form.
 """
 
 import math
@@ -31,13 +32,10 @@ def clipped_times(fam, lo, hi, count):
     return np.linspace(lo, hi, count)
 
 
-# One branch of every closed-form kind:
-#        cot  linear zero tanh coth const
-MIXED = (
-    rc.JacobiSpectrum(kappas=(1.0, 0.0, 0.0, -1.0, -1.0, -1.0), tag="mixed"),
-    (0.3, 0.8, 0.0, 0.4, 1.7, 1.0),
-)
-BRANCH_KINDS = ["cot", "linear", "zero", "tanh", "coth", "const"]
+# One branch in every pole regime: kappa > 0 (a pole on each side),
+# kappa = 0 with one pole and with none, kappa < 0 with |mu0| below, above
+# and equal to omega = sqrt(-kappa).
+MIXED = ((1.0, 0.0, 0.0, -1.0, -1.0, -1.0), (0.3, 0.8, 0.0, 0.4, 1.7, 1.0))
 
 
 def mixed_family():
@@ -46,21 +44,15 @@ def mixed_family():
 
 class TestConstruction:
     def test_space_form_spectrum(self):
-        jac = rc.space_form(2.5, 4)
-        assert jac.tag == rc.SPACE_FORM
-        assert jac.kappas == (2.5, 2.5, 2.5, 2.5)
-        assert jac.c == 2.5
+        assert rc.space_form(2.5, 4) == (2.5, 2.5, 2.5, 2.5)
 
     def test_space_form_needs_positive_dimension(self):
         with pytest.raises(ConstructionError, match="must be >= 1"):
             rc.space_form(1.0, 0)
 
     def test_rank_one_block_layout(self):
-        jac = rc.rank_one(1.0, 4.0, 3, 7)
-        assert jac.tag == rc.RANK_ONE
         # kappa1 block first (n - m copies), kappa2 block last (m copies)
-        assert jac.kappas == (1.0, 1.0, 1.0, 1.0, 4.0, 4.0, 4.0)
-        assert (jac.kappa1, jac.kappa2, jac.m) == (1.0, 4.0, 3)
+        assert rc.rank_one(1.0, 4.0, 3, 7) == (1.0, 1.0, 1.0, 1.0, 4.0, 4.0, 4.0)
 
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 8])
     def test_rank_one_multiplicity_restricted(self, m):
@@ -80,7 +72,7 @@ class TestConstruction:
             rc.riccati_family(rc.space_form(1.0, 3), (0.1, 0.2))
 
     @pytest.mark.parametrize(
-        "jacobi,mu0",
+        "kappas,mu0",
         [
             (rc.space_form(1.0, 2), (np.nan, 0.2)),
             (rc.space_form(1.0, 2), (0.1, np.inf)),
@@ -89,11 +81,11 @@ class TestConstruction:
         ],
         ids=["nan-mu0", "inf-mu0", "nan-kappa", "inf-kappa"],
     )
-    def test_family_rejects_non_finite_entries(self, jacobi, mu0):
+    def test_family_rejects_non_finite_entries(self, kappas, mu0):
         # A NaN branch has no pole; the family used to build with a NaN
         # column inside an interval set by the other branches.
         with pytest.raises(ConstructionError, match="must be finite"):
-            rc.riccati_family(jacobi, mu0)
+            rc.riccati_family(kappas, mu0)
 
     def test_family_is_frozen(self):
         fam = rc.riccati_family(rc.space_form(1.0, 2), (0.0, 0.5))
@@ -176,6 +168,18 @@ class TestClosedForms:
             -2.0 * math.tanh(2.0 * 1.3), abs=1e-12
         )
 
+    def test_hyperbolic_branches_hold_their_limits_at_large_times(self):
+        # mu0 = +-omega (a horosphere) stays put; the others settle on +omega
+        # backward and -omega forward. From cosh and sinh alone, C - S mu0
+        # cancels to 0/0 once omega |t| nears 18, and sinh overflows past 710.
+        fam = rc.riccati_family(rc.space_form(-4.0, 4), (2.0, -2.0, 0.5, -1.0))
+        grid = np.array([-1e4, -400.0, -30.0, 30.0, 400.0, 1e4])
+        mu = rc.evolve_closed(fam, grid)
+        assert np.array_equal(mu[:, :2], np.tile([2.0, -2.0], (6, 1)))
+        limits = np.repeat([[2.0], [-2.0]], 3, axis=0)
+        assert np.allclose(mu[:, 2:], limits, rtol=1e-15, atol=0.0)
+        assert np.array_equal(rc.evolve_derivative(fam, grid)[:, :2], np.zeros((6, 2)))
+
     def test_initial_condition_recovered(self):
         fam = mixed_family()
         assert np.allclose(rc.evolve_closed(fam, 0.0), fam.mu0, atol=1e-14)
@@ -233,8 +237,22 @@ class TestClosedForms:
             assert np.array_equal(stacked, [moment(fam, t, i, j) for t in grid])
             assert isinstance(moment(fam, grid[0], i, j), float)
 
-    def test_mixed_family_covers_every_branch_kind(self):
-        assert [branch[0] for branch in mixed_family().branches] == BRANCH_KINDS
+    def test_mixed_family_reaches_every_pole_regime(self):
+        seen = []
+        for kappa, mu0 in zip(*MIXED):
+            poles = rc._poles(kappa, mu0)
+            if kappa > 0:
+                assert len(poles) == 2 and min(poles) < 0 < max(poles)
+                seen.append("positive")
+            elif kappa == 0:
+                seen.append(f"flat-{len(poles)}")
+            else:
+                side = np.sign(abs(mu0) - math.sqrt(-kappa))
+                assert len(poles) == (side > 0)  # a pole only above omega
+                seen.append(f"negative{side:+.0f}")
+        assert sorted(seen) == sorted(
+            ["positive", "flat-0", "flat-1", "negative-1", "negative+0", "negative+1"]
+        )
 
     def test_rk4_overflow_past_pole(self):
         fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))
@@ -256,11 +274,77 @@ class TestClosedForms:
 
     def test_derivative_satisfies_flow_equation(self):
         fam = mixed_family()
-        kappas = np.array(fam.jacobi.kappas)
+        kappas = np.array(fam.kappas)
         for t in clipped_times(fam, -0.45, 0.45, 9):
             mu = rc.evolve_closed(fam, float(t))
             dmu = rc.evolve_derivative(fam, float(t))
             assert np.max(np.abs(dmu - (mu**2 + kappas))) < 1e-10
+
+
+def exact_flow(mp, kappa, mu0, t):
+    """mu and mu' at working precision from the plain Jacobi pair."""
+    kappa, mu0, t = mp.mpf(kappa), mp.mpf(mu0), mp.mpf(t)
+    omega = mp.sqrt(abs(kappa))
+    if kappa > 0:
+        C, S = mp.cos(omega * t), mp.sin(omega * t) / omega
+    elif kappa < 0:
+        C, S = mp.cosh(omega * t), mp.sinh(omega * t) / omega
+    else:
+        C, S = mp.mpf(1), t
+    denom = C - S * mu0
+    return (kappa * S + C * mu0) / denom, (kappa + mu0**2) / denom**2
+
+
+README_RANK_ONE = (rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05))
+
+
+class TestExactOracles:
+    """The closed form against exact arithmetic: sympy for the algebra the
+    code evaluates, mpmath at 40 digits for the values it returns."""
+
+    @pytest.mark.parametrize("sign", [1, -1, 0], ids=["positive", "negative", "flat"])
+    def test_closed_form_solves_the_flow_symbolically(self, sign):
+        sp = pytest.importorskip("sympy")
+        t, mu0 = sp.symbols("t mu0", real=True)
+        w = sp.symbols("omega", positive=True)
+        # (kappa, s, E, S) as the Jacobi pair hands them to the forms
+        if sign > 0:
+            pairs = [(w**2, 0, sp.cos(w * t), sp.sin(w * t) / w)]
+        elif sign < 0:
+            pairs = [(-(w**2), s, sp.exp(-s * t), sp.sinh(w * t) / w) for s in (w, -w)]
+        else:
+            pairs = [(0, 0, sp.Integer(1), t)]
+        zero = lambda expr: sp.simplify(expr.rewrite(sp.exp)) == 0
+        for kappa, shift, E, S in pairs:
+            mu = rc._mu(mu0, kappa, shift, E, S)
+            dmu = rc._dmu(mu0, kappa, shift, E, S)
+            assert zero(mu.subs(t, 0) - mu0)
+            assert zero(sp.diff(mu, t) - mu**2 - kappa)
+            assert zero(dmu - (mu**2 + kappa))
+            if sign < 0:  # C = E + s S is the hyperbolic cosine
+                assert zero(E + shift * S - sp.cosh(w * t))
+
+    @pytest.mark.parametrize("kappas,mu0", [MIXED, README_RANK_ONE], ids=["mixed", "rank-one"])
+    def test_closed_form_against_40_digits(self, kappas, mu0):
+        # Errors are relative to max(|value|, 1): where mu crosses zero its
+        # numerator cancels, and no formula is relatively accurate there.
+        mp = pytest.importorskip("mpmath")
+        fam = rc.riccati_family(kappas, mu0)
+        grid = clipped_times(fam, -2.0, 2.0, 401)  # reaches both blow-up bands
+        mu, dmu = rc.evolve_closed(fam, grid), rc.evolve_derivative(fam, grid)
+        worst_mu = worst_dmu = 0.0
+        with mp.workdps(40):
+            for row, t in enumerate(grid):
+                for col, (kappa, start) in enumerate(zip(kappas, mu0)):
+                    exact_mu, exact_dmu = exact_flow(mp, kappa, start, t)
+                    worst_mu = max(worst_mu, float(
+                        abs(mu[row, col] - exact_mu) / max(abs(exact_mu), 1)
+                    ))
+                    worst_dmu = max(worst_dmu, float(
+                        abs(dmu[row, col] - exact_dmu) / max(abs(exact_dmu), 1)
+                    ))
+        assert worst_mu < 5e-14
+        assert worst_dmu < 5e-14
 
 
 class TestMoments:
@@ -270,7 +354,7 @@ class TestMoments:
         )
         t = 0.17
         S = np.diag(rc.evolve_closed(fam, t))
-        R = np.diag(fam.jacobi.kappas)
+        R = np.diag(fam.kappas)
         for i in range(0, 5):
             for j in range(0, 3):
                 direct = np.trace(
@@ -340,11 +424,19 @@ class TestRecurrences:
     def test_block_split_recovers_mixed_moments(self):
         for fam in self.families():
             for t in clipped_times(fam, -0.3, 0.3, 4):
+                mu = rc.evolve_closed(fam, float(t))
                 for i in (1, 2, 3):
                     for j in (0, 1, 2):
-                        split = rc.gamma_block_split(fam, float(t), i, j)
+                        split = rc._block_split(fam.kappas, mu, i, j)
                         full = rc.gamma_ij(fam, float(t), i, j)
                         assert split == pytest.approx(full, rel=1e-10, abs=1e-9)
+
+    def test_block_split_rejects_three_values(self):
+        # The mixed family has kappas 1, 0 and -1; the chain used to die
+        # with a TypeError on the missing rank-one fields.
+        fam = mixed_family()
+        with pytest.raises(ValueError, match="at most two distinct kappa values, got 3"):
+            rc.check_moment_chain(fam, clipped_times(fam, -0.4, 0.4, 9))
 
     def test_moment_chain_two_paths_agree(self):
         for fam in self.families():
@@ -372,47 +464,6 @@ class TestRecurrences:
         report = rc.check_moment_chain(fam, times)
         assert np.isnan(report.max_residual)
         assert np.isnan(report.q5)
-
-
-class TestBlockSplit:
-    def test_phi_psi_sum_to_power_sum(self):
-        fam = rc.riccati_family(
-            rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)
-        )
-        for t in clipped_times(fam, -0.3, 0.3, 5):
-            for i in (1, 2, 3, 4):
-                phi, psi = rc.phi_psi_split(fam, float(t), i)
-                assert phi + psi == pytest.approx(
-                    rc.gamma_ij(fam, float(t), i, 0), rel=1e-12, abs=1e-12
-                )
-
-    def test_phi_covers_first_block_only(self):
-        # freeze the kappa2 block at its fixed point so Psi_1 is constant
-        fam = rc.riccati_family(rc.rank_one(1.0, -4.0, 1, 3), (0.2, -0.1, 2.0))
-        phi0, psi0 = rc.phi_psi_split(fam, 0.0, 1)
-        phi1, psi1 = rc.phi_psi_split(fam, 0.3, 1)
-        assert psi0 == psi1 == 2.0
-        assert phi0 != phi1
-
-    def test_phi_psi_derivative_matches_central_difference(self):
-        fam = rc.riccati_family(
-            rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)
-        )
-        h = 1e-6
-        for t in clipped_times(fam, -0.3, 0.3, 4):
-            for i in (1, 2, 3):
-                dphi, dpsi = rc.phi_psi_derivative(fam, float(t), i)
-                pp = rc.phi_psi_split(fam, t + h, i)
-                mm = rc.phi_psi_split(fam, t - h, i)
-                assert dphi == pytest.approx((pp[0] - mm[0]) / (2 * h), abs=1e-5)
-                assert dpsi == pytest.approx((pp[1] - mm[1]) / (2 * h), abs=1e-5)
-
-    def test_split_requires_rank_one(self):
-        fam = rc.riccati_family(rc.space_form(1.0, 2), (0.1, 0.2))
-        with pytest.raises(ValueError, match="rank-one"):
-            rc.phi_psi_split(fam, 0.1, 2)
-        with pytest.raises(ValueError, match="rank-one"):
-            rc.phi_psi_derivative(fam, 0.1, 2)
 
 
 class TestSpectrumRecovery:
