@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
+from .symmat import max_abs
 
 ENTRY_TOL = 1e-12  # constructions are exact sign matrices; violations are bugs
 
@@ -71,7 +72,7 @@ class CliffordReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.anticommutation, self.symmetry, self.orthogonality)
+        return max_abs([self.anticommutation, self.symmetry, self.orthogonality])
 
 
 @dataclass(frozen=True)
@@ -102,22 +103,19 @@ def verify_clifford(system) -> CliffordReport:
         gens = tuple(np.asarray(a, dtype=float) for a in system)
     if not gens:
         raise ValueError("no generators given")
-    dim = gens[0].shape[0]
-    eye = np.eye(dim)
-    anti = 0.0
-    sym = 0.0
-    orth = 0.0
-    for i, a in enumerate(gens):
-        sym = max(sym, float(np.max(np.abs(a - a.T))))
-        orth = max(orth, float(np.max(np.abs(a @ a - eye))))
-        for b in gens[i + 1 :]:
-            anti = max(anti, float(np.max(np.abs(a @ b + b @ a))))
-    return CliffordReport(anticommutation=anti, symmetry=sym, orthogonality=orth)
+    eye = np.eye(gens[0].shape[0])
+    return CliffordReport(
+        anticommutation=max_abs(
+            [a @ b + b @ a for i, a in enumerate(gens) for b in gens[i + 1 :]]
+        ),
+        symmetry=max_abs([a - a.T for a in gens]),
+        orthogonality=max_abs([a @ a - eye for a in gens]),
+    )
 
 
 def _validated(system: CliffordSystem) -> CliffordSystem:
     report = verify_clifford(system)
-    if report.max_residual > ENTRY_TOL:
+    if not report.max_residual <= ENTRY_TOL:
         raise ConstructionError(
             f"system relations violated (max residual {report.max_residual:.3e})"
         )
@@ -208,11 +206,8 @@ def build_complex_structure(tag: str, dim: int) -> ComplexStructure:
         j = np.kron(np.eye(dim // 4), D0 if tag == J_RIGHT else D1)
     else:
         raise ValueError(f"unknown complex structure tag {tag!r}")
-    residual = max(
-        float(np.max(np.abs(j @ j + np.eye(dim)))),
-        float(np.max(np.abs(j + j.T))),
-    )
-    if residual > ENTRY_TOL:
+    residual = max_abs([j @ j + np.eye(dim), j + j.T])
+    if not residual <= ENTRY_TOL:
         raise ConstructionError(f"J relations violated (residual {residual:.3e})")
     return ComplexStructure(dim=dim, matrix=_freeze(j), tag=tag)
 

@@ -289,14 +289,47 @@ def _fkm_parts(P: IsoPolynomial, x):
     return _dot(x, x), az, _apply(az, x)
 
 
+def _contract(P: IsoPolynomial, x):
+    """The one contraction of a block that F, DF and D^2F all read: the
+    quartic's _fkm_parts, or the cubic's T.x = D^2F."""
+    if P.family == "fkm":
+        return _fkm_parts(P, x)
+    return _apply(P._tensor, x[..., None, :])
+
+
+def _value(P: IsoPolynomial, x, parts):
+    """F from the contraction: |x|^4 - 2 sum q_p^2, or x^T (T.x) x / 6."""
+    if P.family == "fkm":
+        z2, _, q = parts
+        return scalar_or_stack(z2 * z2 - 2.0 * _dot(q, q))
+    return scalar_or_stack(_dot((x[..., None, :] @ parts)[..., 0, :], x) / 6.0)
+
+
+def _gradient(P: IsoPolynomial, x, parts) -> np.ndarray:
+    """DF from the contraction: 4 (|x|^2 x - 2 sum q_p A_p x), or (T.x) x / 2."""
+    if P.family == "fkm":
+        z2, az, q = parts
+        return 4.0 * (z2[..., None] * x - 2.0 * (q[..., None, :] @ az)[..., 0, :])
+    return _apply(parts, x) / 2.0
+
+
+def _hessian(P: IsoPolynomial, x, parts) -> SymmetricMatrix:
+    """D^2F from the contraction, a SymmetricMatrix (stack)."""
+    if P.family == "fkm":
+        z2, az, q = parts
+        dim = P.ambient_dim
+        h = z2[..., None, None] * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :])
+        gens = P._generators.reshape(len(P._generators), dim * dim)
+        qa = (q[..., None, :] @ gens).reshape(x.shape[:-1] + (dim, dim))
+        h -= 2.0 * qa + 4.0 * np.swapaxes(az, -2, -1) @ az
+        return SymmetricMatrix(4.0 * h)
+    return SymmetricMatrix(parts)
+
+
 def eval_F(P: IsoPolynomial, x):
     """Value of F at x: a float, or one value per row of an (N, d) block."""
     x = _check_point(P, x)
-    if P.family == "fkm":
-        z2, _, q = _fkm_parts(P, x)
-        return scalar_or_stack(z2 * z2 - 2.0 * _dot(q, q))
-    xtx = x[..., None, :] @ _apply(P._tensor, x[..., None, :])
-    return scalar_or_stack(_dot(xtx[..., 0, :], x) / 6.0)
+    return _value(P, x, _contract(P, x))
 
 
 def eval_F_monomial(P: IsoPolynomial, x):
@@ -309,10 +342,7 @@ def eval_grad(P: IsoPolynomial, x) -> np.ndarray:
     quartic family, T(x, x)/2 for the cubic; eval_grad_monomial is the
     oracle."""
     x = _check_point(P, x)
-    if P.family == "fkm":
-        z2, az, q = _fkm_parts(P, x)
-        return 4.0 * (z2[..., None] * x - 2.0 * (q[..., None, :] @ az)[..., 0, :])
-    return _apply(_apply(P._tensor, x[..., None, :]), x) / 2.0
+    return _gradient(P, x, _contract(P, x))
 
 
 def eval_grad_monomial(P: IsoPolynomial, x) -> np.ndarray:
@@ -326,15 +356,15 @@ def eval_hessian(P: IsoPolynomial, x) -> SymmetricMatrix:
     """Ambient Hessian D^2 F as a SymmetricMatrix, a (N, d, d) stack for a
     block of samples."""
     x = _check_point(P, x)
-    if P.family == "fkm":
-        z2, az, q = _fkm_parts(P, x)
-        dim = P.ambient_dim
-        h = z2[..., None, None] * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :])
-        gens = P._generators.reshape(len(P._generators), dim * dim)
-        qa = (q[..., None, :] @ gens).reshape(x.shape[:-1] + (dim, dim))
-        h -= 2.0 * qa + 4.0 * np.swapaxes(az, -2, -1) @ az
-        return SymmetricMatrix(4.0 * h)
-    return SymmetricMatrix(_apply(P._tensor, x[..., None, :]))
+    return _hessian(P, x, _contract(P, x))
+
+
+def eval_jet(P: IsoPolynomial, x):
+    """(F, DF, D^2F) at x from one contraction of the point or block: each
+    equals eval_F, eval_grad and eval_hessian at x bit for bit."""
+    x = _check_point(P, x)
+    parts = _contract(P, x)
+    return _value(P, x, parts), _gradient(P, x, parts), _hessian(P, x, parts)
 
 
 def eval_hessian_monomial(P: IsoPolynomial, x) -> SymmetricMatrix:
@@ -387,10 +417,10 @@ def cm_residuals(P: IsoPolynomial, x):
     floats for one point, one value per row of an (N, d) block."""
     x = _check_point(P, x)
     radius = _nonzero_radius(x)
-    grad = eval_grad(P, x)
+    _, grad, hess = eval_jet(P, x)
     g = P.g
     res_grad = _dot(grad, grad) - g * g * radius ** (2 * g - 2)
-    res_lap = eval_hessian(P, x).trace() - 0.5 * g * g * (
+    res_lap = hess.trace() - 0.5 * g * g * (
         P.m2 - P.m1
     ) * radius ** (g - 2)
     return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
@@ -415,8 +445,8 @@ def hidden_rho_residual(P: IsoPolynomial, x, k: int):
     r = _nonzero_radius(x)
     g, n = float(P.g), float(P.n)
     dm = float(P.m2 - P.m1)
-    F = eval_F(P, x)
-    direct = rho_k(eval_hessian(P, x), k)
+    F, _, hess = eval_jet(P, x)
+    direct = rho_k(hess, k)
     if k == 2:
         closed = -(g**3 / 2.0) * (g - 2.0) * dm * F * r ** (g - 4) + g * g * (
             g - 1.0

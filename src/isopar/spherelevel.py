@@ -20,10 +20,11 @@ from .polyfam import (
     eval_F,
     eval_grad,
     eval_hessian,
+    eval_jet,
     point_norm,
     profile_of,
 )
-from .symmat import SymmetricMatrix, eigensolve, rho_k, scalar_or_stack
+from .symmat import SymmetricMatrix, eigensolve, max_abs, rho_k, scalar_or_stack
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
@@ -164,8 +165,9 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     """Build the adapted frame at a unit vector x on a regular level, or the
     frame stack at every row of an (N, d) block.
 
-    The one evaluation of DF and D^2F at x; the Hopf layer reads the frame.
-    Any non-unit or focal row raises, naming the row.
+    F, DF and D^2F come from one eval_jet, so the block is contracted once;
+    the Hopf layer reads the frame. Any non-unit or focal row raises,
+    naming the row.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -173,7 +175,7 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     where = _first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12, x)
     if where is not None:
         raise ValueError(f"x must lie on the unit sphere to 1e-12{where}")
-    f = eval_F(P, x)
+    f, df, d2f = eval_jet(P, x)
     inside = np.abs(f) <= 1.0 - EPS_FOCAL
     where = _first_bad(inside, x)
     if where is not None:
@@ -181,13 +183,12 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
         raise FocalPointError(
             f"level f = {level:.6f} is inside the focal band{where}", level=level
         )
-    df = eval_grad(P, x)
     grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
         point=x,
         f=f,
         df=df,
-        d2f=eval_hessian(P, x).entries,
+        d2f=d2f.entries,
         grad_sph=grad_sph,
         grad_norm=grad_norm,
         nu=nu,
@@ -303,8 +304,8 @@ def _relative_residual(power_sum, t: float, k: int, rhs: float) -> float:
     terms. An odd-order sum cancels to roundoff of terms far above 1 (at t = 0
     when m1 = m2), so the scale is max(1, |lhs|, the next even-order sum)."""
     lhs = power_sum(t, k + 1)
-    scale = max(1.0, abs(lhs), power_sum(t, k + 2 - k % 2))
-    return abs(lhs - rhs) / scale
+    scale = np.max([1.0, abs(lhs), power_sum(t, k + 2 - k % 2)])
+    return float(abs(lhs - rhs) / scale)
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ def qk_recurrence_check(
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max = {k_max} out of range [1, 8]")
     qk = partial(munzner_qk, g, m1, m2)
-    worst = 0.0
+    residuals = []
     for t in t_samples:
         t = float(t)
         if not -0.9 < t < 0.9:
@@ -328,8 +329,8 @@ def qk_recurrence_check(
         for k in range(1, k_max):
             rhs = (g / k) * np.sqrt(1.0 - t * t) * _t_derivative(qk, t, k)
             rhs -= qk(t, k - 1)
-            worst = max(worst, _relative_residual(qk, t, k, rhs))
-    return QkRecurrenceReport(worst)
+            residuals.append(_relative_residual(qk, t, k, rhs))
+    return QkRecurrenceReport(max_abs(residuals))
 
 
 @dataclass(frozen=True)
@@ -354,18 +355,14 @@ def rhobar_recurrence_check(
     n = P.n
     rb = partial(munzner_rhobar, g, m1, m2)
     x0 = regular_sphere_points(P, 1, seed)[0]
-    worst = 0.0
-    agree = 0.0
-    seed0 = 0.0
-    seed1 = 0.0
+    worst, agree, seed0, seed1 = [], [], [], []
     for t in t_samples:
         t = float(t)
         y = level_project(P, x0, t).point
         hess = eval_hessian(P, y)
-        for k in range(0, k_max + 1):
-            agree = max(agree, abs(rb(t, k) - rho_k(hess, k)))
-        seed0 = max(seed0, abs(rb(t, 0) - (n + 2.0)))
-        seed1 = max(seed1, abs(rb(t, 1) - 0.5 * g * g * (m2 - m1)))
+        agree += [rb(t, k) - rho_k(hess, k) for k in range(0, k_max + 1)]
+        seed0.append(rb(t, 0) - (n + 2.0))
+        seed1.append(rb(t, 1) - 0.5 * g * g * (m2 - m1))
         for k in range(1, k_max):
             source = 2.0 * float(g ** (k + 1)) * float((g - 1) ** k) * (g - 2.0)
             source *= 1.0 if k % 2 == 1 else t
@@ -375,12 +372,12 @@ def rhobar_recurrence_check(
                 + g * g * (g - 1.0) * rb(t, k - 1)
                 + source
             )
-            worst = max(worst, _relative_residual(rb, t, k, rhs))
+            worst.append(_relative_residual(rb, t, k, rhs))
     return RhobarReport(
-        max_residual=worst,
-        path_agreement=agree,
-        seed_zero_error=seed0,
-        seed_one_error=seed1,
+        max_residual=max_abs(worst),
+        path_agreement=max_abs(agree),
+        seed_zero_error=max_abs(seed0),
+        seed_one_error=max_abs(seed1),
     )
 
 

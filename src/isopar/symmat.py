@@ -66,6 +66,12 @@ def scalar_or_stack(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def max_abs(residuals) -> float:
+    """Largest |residual| over an array or a list of equal-shape arrays, 0.0
+    for none; np.max, unlike the builtin max, returns a NaN, not drops it."""
+    return float(np.max(np.abs(residuals), initial=0.0))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted descending, plus a clustering into near-equal groups.

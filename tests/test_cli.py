@@ -224,25 +224,31 @@ class TestSampleBlocks:
         assert doc["samples"] == self.SAMPLES
 
     def test_hessian_calls_per_block(self, capsys, monkeypatch):
-        calls = []
-        original = polyfam.eval_hessian
+        calls = {"eval_jet": [], "eval_grad": [], "eval_hessian": []}
 
-        def counted(P, x):
-            calls.append(np.shape(x))
-            return original(P, x)
+        def counted(name, original):
+            def kernel(P, x):
+                calls[name].append(np.shape(x))
+                return original(P, x)
+            return kernel
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "isopar" and getattr(
-                module, "eval_hessian", None
-            ) is original:
-                monkeypatch.setattr(module, "eval_hessian", counted)
+        for name in calls:
+            original = getattr(polyfam, name)
+            wrapper = counted(name, original)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "isopar" and getattr(
+                    module, name, None
+                ) is original:
+                    monkeypatch.setattr(module, name, wrapper)
         code, _ = run(capsys, ["verify-cm", "--family", "cartan", "--m", "1",
                                "--samples", "200"])
         assert code == 0
         blocks = -(-200 // cli._SAMPLE_BLOCK)
-        assert len(calls) <= 2 * blocks
-        # every sample is evaluated once by each half of the suite
-        assert sum(shape[0] for shape in calls) == 2 * 200
+        # one contraction per block for each half of the suite (cm_residuals
+        # on the ball, frame_at on the sphere), every sample in exactly one
+        assert len(calls["eval_jet"]) == 2 * blocks
+        assert sum(shape[0] for shape in calls["eval_jet"]) == 2 * 200
+        assert calls["eval_grad"] == calls["eval_hessian"] == []
 
 
 class TestAlphaScan:

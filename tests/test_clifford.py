@@ -1,14 +1,19 @@
 """Clifford systems and complex structures: defining relations and tables."""
 
+import math
+
 import numpy as np
 import pytest
 
+from isopar import clifford
 from isopar.clifford import (
     J_BLOCK,
     J_LEFT,
     J_RIGHT,
     TAG_OZEKI_TAKEUCHI,
     TAG_STANDARD,
+    CliffordReport,
+    CliffordSystem,
     build_complex_structure,
     build_ozeki_takeuchi_system,
     build_standard_system,
@@ -85,6 +90,23 @@ class TestVerifyClifford:
         with pytest.raises(ValueError):
             verify_clifford([])
 
+    def test_nan_generator_is_not_a_zero_residual(self):
+        report = verify_clifford([np.eye(4), np.full((4, 4), np.nan)])
+        assert math.isnan(report.anticommutation)
+        assert math.isnan(report.symmetry)
+        assert math.isnan(report.orthogonality)
+        assert math.isnan(report.max_residual)
+
+    def test_max_residual_keeps_a_nan_field(self):
+        for fields in ((np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)):
+            assert math.isnan(CliffordReport(*fields).max_residual)
+
+    def test_validation_rejects_nan_generators(self):
+        gens = (np.eye(4), np.full((4, 4), np.nan))
+        system = CliffordSystem(m=1, dim=4, generators=gens, tag=TAG_STANDARD)
+        with pytest.raises(ConstructionError, match="max residual nan"):
+            clifford._validated(system)
+
 
 class TestComplexStructures:
     @pytest.mark.parametrize(
@@ -108,6 +130,11 @@ class TestComplexStructures:
     def test_quaternion_structures_need_dim_multiple_of_4(self):
         with pytest.raises(ConstructionError):
             build_complex_structure(J_RIGHT, 6)
+
+    def test_nan_block_rejected(self, monkeypatch):
+        monkeypatch.setattr(clifford, "D0", np.full((4, 4), np.nan))
+        with pytest.raises(ConstructionError, match="residual nan"):
+            build_complex_structure(J_RIGHT, 8)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

@@ -171,21 +171,27 @@ class TestAlpha:
 
     def test_scan_evaluates_one_hessian_per_sample(self, monkeypatch):
         ctx = context("fkm24-block")
-        calls = []
-        original = polyfam.eval_hessian
+        calls = {"eval_jet": [], "eval_hessian": []}
 
-        def counted(P, x):
-            calls.append(x)
-            return original(P, x)
+        def counted(name, original):
+            def kernel(P, x):
+                calls[name].append(x)
+                return original(P, x)
+            return kernel
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "isopar" and getattr(
-                module, "eval_hessian", None
-            ) is original:
-                monkeypatch.setattr(module, "eval_hessian", counted)
+        for name in calls:
+            original = getattr(polyfam, name)
+            wrapper = counted(name, original)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "isopar" and getattr(
+                    module, name, None
+                ) is original:
+                    monkeypatch.setattr(module, name, wrapper)
         records, _ = alpha_scan(ctx, 0.3, 7, 89)
         assert len(records) == 7
-        assert len(calls) == 7
+        # the Hessian reaches the scan only through the frame's one jet
+        assert len(calls["eval_jet"]) == 7
+        assert calls["eval_hessian"] == []
 
     def test_m2_alpha_varies(self):
         ctx = context("fkm24-block")

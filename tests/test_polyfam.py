@@ -24,6 +24,7 @@ from isopar.polyfam import (
     eval_grad_monomial,
     eval_hessian,
     eval_hessian_monomial,
+    eval_jet,
     _cartan_products,
     cd_mult,
     hidden_rho_residual,
@@ -312,6 +313,52 @@ class TestBatchedKernels:
             cm_residuals(family("cartan1"), pts)
         with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
             hidden_rho_residual(family("cartan1"), pts, 2)
+
+
+class TestJet:
+    """eval_jet is the three kernels from one contraction, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
+    def test_jet_equals_the_three_kernels(self, name):
+        fam = family(name)
+        pts = seeded_points(fam.ambient_dim, 16, 107)
+        F, grad, hess = eval_jet(fam, pts)
+        assert np.array_equal(F, eval_F(fam, pts))
+        assert np.array_equal(grad, eval_grad(fam, pts))
+        assert np.array_equal(hess.entries, eval_hessian(fam, pts).entries)
+        for i, x in enumerate(pts):
+            f, g, h = eval_jet(fam, x)
+            assert isinstance(f, float)
+            assert f == eval_F(fam, x)
+            assert np.array_equal(g, eval_grad(fam, x))
+            assert np.array_equal(h.entries, eval_hessian(fam, x).entries)
+            assert F[i] == eval_F(fam, pts[i : i + 1])[0]
+            assert np.array_equal(grad[i], eval_grad(fam, pts[i : i + 1])[0])
+            assert np.array_equal(
+                hess.entries[i], eval_hessian(fam, pts[i : i + 1]).entries[0]
+            )
+
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
+    def test_jet_vs_monomial(self, name):
+        fam = family(name)
+        pts = seeded_points(fam.ambient_dim, 12, 109)
+        F, grad, hess = eval_jet(fam, pts)
+        assert np.allclose(F, eval_F_monomial(fam, pts), rtol=1e-13, atol=1e-13)
+        assert np.allclose(
+            grad, eval_grad_monomial(fam, pts), rtol=1e-13, atol=1e-13
+        )
+        assert np.allclose(
+            hess.entries, eval_hessian_monomial(fam, pts).entries,
+            rtol=1e-13, atol=1e-13,
+        )
+
+    def test_jet_checks_its_point(self):
+        with pytest.raises(ValueError, match="expected"):
+            eval_jet(family("fkm24"), np.ones((3, 5)))
 
 
 class TestStructureConstants:

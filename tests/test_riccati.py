@@ -259,6 +259,22 @@ class TestClosedForms:
         with pytest.raises(IntegrationError):
             rc.evolve_numeric(fam, 1.5, steps=20000)
 
+    def test_overflow_names_the_row_past_the_pole(self):
+        # kappa = 0, mu0 = 2 blows up at t = 0.5; only the time 1.5 passes it
+        fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))
+        for grid in ([0.1, -0.3, 1.5, 0.2], [[0.1, -0.3], [1.5, 0.2]]):
+            with pytest.raises(IntegrationError, match=r"to t = 1\.5$"):
+                rc.evolve_numeric(fam, np.array(grid), steps=20000)
+
+    def test_nan_step_trips_the_overflow_gate(self):
+        fam = mixed_family()
+        with pytest.raises(IntegrationError, match="to t = nan"):
+            rc.evolve_numeric(fam, np.array([0.2, np.nan, 0.1]), steps=5)
+
+    def test_empty_grid(self):
+        fam = mixed_family()
+        assert rc.evolve_numeric(fam, np.array([]), steps=5).shape == (0, 6)
+
     @given(st.floats(min_value=-0.45, max_value=0.45))
     @settings(max_examples=40, deadline=None)
     def test_derivative_matches_central_difference(self, t):
@@ -400,6 +416,58 @@ class TestMoments:
                 ) / (2.0 * h)
                 exact = rc.gamma_derivative(fam, float(t), i, 1)
                 assert abs(exact - fd) < 1e-5 * max(1.0, abs(exact))
+
+
+def python_rk4(kappas, mu0, t, steps):
+    """RK4 on plain Python floats, one branch at a time: the IEEE operations
+    of the classical tableau written out for a scalar equation."""
+    t = float(t)
+    h = t / steps
+    out = []
+    for kappa, mu in zip(kappas, mu0):
+        f = lambda y: y * y + kappa
+        for _ in range(steps):
+            k1 = f(mu)
+            k2 = f(mu + 0.5 * h * k1)
+            k3 = f(mu + 0.5 * h * k2)
+            k4 = f(mu + h * k3)
+            mu = mu + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(mu)
+    return out
+
+
+class TestRK4Oracle:
+    """evolve_numeric against a scalar RK4 on Python floats, bit for bit."""
+
+    FAMILIES = [
+        MIXED,
+        (rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)),
+    ]
+
+    @pytest.mark.parametrize("steps", [1, 7, 50])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_grid_matches_python_floats(self, steps, index):
+        fam = rc.riccati_family(*self.FAMILIES[index])
+        grid = np.concatenate([clipped_times(fam, -0.4, 0.4, 7), [0.0, -0.0]])
+        assert (grid < 0).any() and (grid == 0).any()
+        mu = rc.evolve_numeric(fam, grid, steps)
+        expected = [python_rk4(fam.kappas, fam.mu0, t, steps) for t in grid]
+        assert np.array_equal(mu, expected)
+        square = grid[:8].reshape(2, 4)
+        mu = rc.evolve_numeric(fam, square, steps)
+        assert mu.shape == (2, 4, len(fam.mu0))
+        assert np.array_equal(
+            mu, [[python_rk4(fam.kappas, fam.mu0, t, steps) for t in row]
+                 for row in square]
+        )
+
+    @pytest.mark.parametrize("steps", [1, 7, 50])
+    def test_scalar_time_matches_python_floats(self, steps):
+        fam = mixed_family()
+        for t in (0.3, -0.25, 0.0):
+            mu = rc.evolve_numeric(fam, t, steps)
+            assert mu.shape == (len(fam.mu0),)
+            assert np.array_equal(mu, python_rk4(fam.kappas, fam.mu0, t, steps))
 
 
 class TestRecurrences:

@@ -1,6 +1,7 @@
 """Sphere restriction: frames, level projection, spectrum and recurrences."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from isopar import spherelevel
 from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
-from isopar.polyfam import eval_F, eval_grad, make_cartan, make_fkm, make_ot
+from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
     MunznerSpectrum,
     frame_at,
@@ -187,11 +188,11 @@ class TestFrameStacks:
         pts = regular_sphere_points(fam, 4, 31)
 
         def radial_at_row_1(P, x):
-            df = eval_grad(P, x)
-            df[1] = P.g * eval_F(P, x[1]) * x[1]
-            return df
+            f, df, d2f = eval_jet(P, x)
+            df[1] = P.g * f[1] * x[1]
+            return f, df, d2f
 
-        monkeypatch.setattr(spherelevel, "eval_grad", radial_at_row_1)
+        monkeypatch.setattr(spherelevel, "eval_jet", radial_at_row_1)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ConditioningError, match="member 1 of the stack"):
                 frame_at(fam, pts)
@@ -242,7 +243,9 @@ class TestFrames:
     def test_nan_level_rejected(self, monkeypatch):
         fam = family("cartan1")
         x = regular_sphere_points(fam, 1, 43)[0]
-        monkeypatch.setattr(spherelevel, "eval_F", lambda P, y: float("nan"))
+        monkeypatch.setattr(
+            spherelevel, "eval_jet", lambda P, y: (float("nan"), *eval_jet(P, y)[1:])
+        )
         with pytest.raises(FocalPointError):
             frame_at(fam, x)
 
@@ -335,6 +338,40 @@ class TestRecurrences:
             qk_recurrence_check(3, 1, 1, [0.95], 6)
         with pytest.raises(ValueError):
             qk_recurrence_check(3, 1, 1, [0.0], 9)
+
+    def test_qk_recurrence_keeps_a_nan_power_sum(self, monkeypatch):
+        qk = spherelevel.munzner_qk
+        monkeypatch.setattr(
+            spherelevel, "munzner_qk",
+            lambda g, m1, m2, t, k: math.nan if k == 3 else qk(g, m1, m2, t, k),
+        )
+        report = qk_recurrence_check(3, 1, 1, self.ts, 6)
+        assert math.isnan(report.max_residual)
+
+    def test_relative_residual_keeps_a_nan_scale(self):
+        # lhs and rhs agree; only the scale term (the order-4 sum) is NaN
+        power_sum = lambda t, k: math.nan if k == 4 else 1.0
+        assert math.isnan(spherelevel._relative_residual(power_sum, 0.2, 2, 1.0))
+        assert spherelevel._relative_residual(lambda t, k: 1.0, 0.2, 2, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "bad_k,fields",
+        [
+            (0, ("max_residual", "path_agreement", "seed_zero_error")),
+            (1, ("max_residual", "path_agreement", "seed_one_error")),
+            (3, ("max_residual", "path_agreement")),
+        ],
+    )
+    def test_rhobar_recurrence_keeps_a_nan_power_sum(self, monkeypatch, bad_k, fields):
+        rb = spherelevel.munzner_rhobar
+        monkeypatch.setattr(
+            spherelevel, "munzner_rhobar",
+            lambda g, m1, m2, t, k: math.nan if k == bad_k else rb(g, m1, m2, t, k),
+        )
+        report = rhobar_recurrence_check(family("cartan1"), [-0.3, 0.2], 6)
+        for name in ("max_residual", "path_agreement", "seed_zero_error",
+                     "seed_one_error"):
+            assert math.isnan(getattr(report, name)) == (name in fields), name
 
     @pytest.mark.parametrize("name", ["cartan1", "fkm24", "ot1"])
     def test_rhobar_recurrence(self, name):
