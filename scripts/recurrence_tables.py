@@ -46,10 +46,10 @@ def main(argv=None):
     print(f"{'family':>10} {'(g,m1,m2)':>10} {'Qk':>10} {'rhobar':>10}")
     for name in args.families:
         fam = BUILTINS[name]()
-        qrep = qk_recurrence_check(fam.g, fam.m1, fam.m2, check_grid, args.k_max)
-        rrep = rhobar_recurrence_check(fam, check_grid, args.k_max, args.seed)
+        q_res = qk_recurrence_check(fam.g, fam.m1, fam.m2, check_grid, args.k_max)
+        rhobar = rhobar_recurrence_check(fam, check_grid, args.k_max, args.seed)
         print(f"{name:>10} ({fam.g},{fam.m1},{fam.m2})    "
-              f"{qrep.max_residual:10.2e} {rrep.max_residual:10.2e}")
+              f"{q_res:10.2e} {rhobar['recurrence']:10.2e}")
         if not args.no_csv:
             path = f"{args.prefix}-{name}.csv"
             write_csv(path, *recurrence_table(fam.g, fam.m1, fam.m2, grid, args.k_max))

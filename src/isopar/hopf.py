@@ -195,9 +195,7 @@ def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> HopfBlocks:
         raise InvarianceError(
             "J x is not tangent to the level set; frame is degenerate here"
         )
-    rest = orthonormal_complement(
-        np.vstack([frame.point, frame.nu, jnu, jx]), ctx.P.ambient_dim
-    )
+    rest = orthonormal_complement(np.vstack([frame.point, frame.nu, jnu, jx]))
     s = -frame.hessian_in(np.vstack([rest, jnu, jx])) / frame.grad_norm
     n = s.shape[0]
     expected_col = np.zeros(n)
@@ -219,14 +217,14 @@ class HopfDecomposition:
 
     phi_sq holds the squared weights from direct eigenprojection;
     phi_sq_moment holds the alternate route solving the moment system
-    (1, 0, 1, alpha) on the curvature nodes (g = 2 closed form, g = 4
-    Vandermonde solve, None otherwise). l counts weights above CLUSTER_TOL.
+    (1, 0, 1, alpha) on the g = 4 curvature nodes by a Vandermonde solve.
+    l counts weights above CLUSTER_TOL.
     """
 
     point: np.ndarray
     lambdas: tuple
     phi_sq: tuple
-    phi_sq_moment: tuple | None
+    phi_sq_moment: tuple
     route_difference: float
     l: int
     alpha: float
@@ -247,17 +245,11 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
         float(np.sum(coords[a:b] ** 2)) for a, b in zip(bounds, bounds[1:])
     )
     alpha = alpha_at(ctx, frame).closed
-    if ctx.g == 2:
-        lam1, lam2 = lambdas
-        phi_m = (-lam2 / (lam1 - lam2), lam1 / (lam1 - lam2))
-    elif ctx.g == 4:
-        phi_m = tuple(
-            float(v) for v in vandermonde_solve(lambdas, [1.0, 0.0, 1.0, alpha])
-        )
-    else:
-        phi_m = None
+    phi_m = tuple(
+        float(v) for v in vandermonde_solve(lambdas, [1.0, 0.0, 1.0, alpha])
+    )
     # np.max carries a NaN weight of either route into the difference.
-    diff = np.max(np.abs(np.subtract(phi_sq, phi_m))) if phi_m is not None else 0.0
+    diff = np.max(np.abs(np.subtract(phi_sq, phi_m)))
     lam = np.array(lambdas)
     phi = np.array(phi_sq)
     moment_residuals = (
@@ -331,7 +323,7 @@ def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
     pts = regular_sphere_points(P, samples, seed, f_bound=0.85)
     records = []
     for i, p in enumerate(pts):
-        frame = frame_at(P, level_project(P, p, level).point)
+        frame = frame_at(P, level_project(P, p, level))
         pair = alpha_at(ctx, frame)
         try:
             count = phi_decomposition(ctx, frame).l

@@ -27,7 +27,7 @@ from .clifford import (
     build_ozeki_takeuchi_system,
     build_standard_system,
 )
-from .errors import ConstructionError, FocalPointError
+from .errors import ConstructionError
 from .monomials import MonomialForm, norm_square_form, quadratic_form
 from .symmat import SymmetricMatrix, rho_k, scalar_or_stack, sigma_k
 
@@ -471,37 +471,3 @@ def hidden_rho_residual(P: IsoPolynomial, x, k: int):
         raise ValueError(f"closed forms available for k in (2, 3, 4), got {k}")
     return scalar_or_stack(direct - closed)
 
-
-def delta_H_convert(values, profile: TransnormalProfile, f: float, direction: str):
-    """Convert between level-set Hessian sigmas (Delta_1 f .. Delta_j f) and
-    normalized mean curvatures (H_1 .. H_j) at level f.
-
-    direction 'to_delta' maps H-values to Delta-values via
-        Delta_j = (-sqrt b)^j H_j + (-sqrt b)^(j-1) (b'/2) H_(j-1),  H_0 = 1;
-    direction 'to_H' inverts with
-        H_j = ( sum_i (-1)^i 2^i b'^(j-i) Delta_i + b'^j ) / (2 sqrt b)^j.
-    Levels with b(f) <= 0 are focal and rejected.
-    """
-    b = profile.b(f)
-    if b <= 0.0:
-        raise FocalPointError(f"b(f) = {b:.3e} <= 0 at level f = {f}", level=f)
-    bp = profile.b_prime(f)
-    sb = np.sqrt(b)
-    vals = [float(v) for v in values]
-    j_max = len(vals)
-    if direction == "to_delta":
-        h = [1.0] + vals
-        return [
-            (-sb) ** j * h[j] + (-sb) ** (j - 1) * (bp / 2.0) * h[j - 1]
-            for j in range(1, j_max + 1)
-        ]
-    if direction == "to_H":
-        out = []
-        for j in range(1, j_max + 1):
-            acc = sum(
-                (-1.0) ** i * 2.0**i * bp ** (j - i) * vals[i - 1]
-                for i in range(1, j + 1)
-            )
-            out.append((acc + bp**j) / (2.0 * sb) ** j)
-        return out
-    raise ValueError(f"direction must be 'to_H' or 'to_delta', got {direction!r}")

@@ -17,7 +17,7 @@ lower ones.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,24 +280,10 @@ def _block_split(kappas, mu, i: int, j: int):
     return k1**j * tr_a + k2**j * tr_c
 
 
-@dataclass(frozen=True)
-class MomentChainReport:
-    """Two-path residuals of the propagated moments."""
-
-    gamma11: float
-    gamma21: float
-    q4: float
-    gamma31: float
-    q5: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(astuple(self)))
-
-
-def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
+def check_moment_chain(fam: RiccatiFamily, t_samples) -> dict:
     """Propagate Q_4 and Q_5 from derivatives of lower moments and compare
-    against the direct power sums.
+    against the direct power sums; returns the max-abs two-path residual of
+    each stage by name.
 
     Chain: Gamma_11 = Q_2'/2 - Q_3; Gamma_21 = Gamma_11' - tr R^2;
     Q_4 = Q_3'/3 - Gamma_21; Gamma_31 = Gamma_21'/2 - Gamma_12 with
@@ -312,13 +298,13 @@ def check_moment_chain(fam: RiccatiFamily, t_samples) -> MomentChainReport:
     q4_chain = deriv(3, 0) / 3.0 - g21_chain
     g31_chain = 0.5 * deriv(2, 1) - _block_split(fam.kappas, mu, 1, 2)
     q5_chain = deriv(4, 0) / 4.0 - g31_chain
-    return MomentChainReport(
-        gamma11=max_abs(g11_chain - gamma(1, 1)),
-        gamma21=max_abs(g21_chain - gamma(2, 1)),
-        q4=max_abs(q4_chain - gamma(4, 0)),
-        gamma31=max_abs(g31_chain - gamma(3, 1)),
-        q5=max_abs(q5_chain - gamma(5, 0)),
-    )
+    return {
+        "gamma11": max_abs(g11_chain - gamma(1, 1)),
+        "gamma21": max_abs(g21_chain - gamma(2, 1)),
+        "q4": max_abs(q4_chain - gamma(4, 0)),
+        "gamma31": max_abs(g31_chain - gamma(3, 1)),
+        "q5": max_abs(q5_chain - gamma(5, 0)),
+    }
 
 
 def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> Spectrum:

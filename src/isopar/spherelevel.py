@@ -53,7 +53,7 @@ def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
     return pts
 
 
-def orthonormal_complement(vectors, dim: int) -> np.ndarray:
+def orthonormal_complement(vectors) -> np.ndarray:
     """Orthonormal rows spanning the complement of the given rows, (k, dim)
     in and (dim - k, dim) out, or a stack (..., k, dim) in and out.
 
@@ -192,45 +192,19 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
         grad_sph=grad_sph,
         grad_norm=grad_norm,
         nu=nu,
-        tangent_basis=orthonormal_complement(
-            np.stack([x, nu], axis=-2), P.ambient_dim
-        ),
+        tangent_basis=orthonormal_complement(np.stack([x, nu], axis=-2)),
         profile=profile_of(P),
     )
 
 
-def cotangent_shift(g: int, t) -> tuple:
-    """cot(arccos(t)/g + i pi/g) for i = 0..g-1, descending for real t in
-    (-1, 1) since cot decreases on (0, pi); t may be complex."""
+def cotangent_shift(g: int, m1: int, m2: int, t) -> tuple:
+    """The cotangent-shift prediction at level t: the g principal curvatures
+    cot(arccos(t)/g + i pi/g), i = 0..g-1, and their multiplicities
+    (m1, m2, m1, ...). The curvatures descend for real t in (-1, 1), since
+    cot decreases on (0, pi); t may be complex."""
     tau = np.arccos(t) / g
-    return tuple(1.0 / np.tan(tau + i * np.pi / g) for i in range(g))
-
-
-@dataclass(frozen=True)
-class MunznerSpectrum:
-    """Expected principal curvatures at level t: cot(tau + (i-1)pi/g) with
-    tau = arccos(t)/g, multiplicities alternating (m1, m2, m1, ...)."""
-
-    g: int
-    m1: int
-    m2: int
-    t: float
-    tau: float
-    curvatures: tuple
-    multiplicities: tuple
-
-    @classmethod
-    def at_level(cls, g: int, m1: int, m2: int, t: float):
-        if not -1.0 < t < 1.0:
-            raise ValueError(f"level t = {t} must be interior to (-1, 1)")
-        mult = tuple(m1 if i % 2 == 0 else m2 for i in range(g))
-        return cls(
-            g=g, m1=m1, m2=m2, t=float(t), tau=float(np.arccos(t) / g),
-            curvatures=cotangent_shift(g, t), multiplicities=mult,
-        )
-
-    def values(self) -> np.ndarray:
-        return np.repeat(self.curvatures, self.multiplicities)
+    curvatures = tuple(1.0 / np.tan(tau + i * np.pi / g) for i in range(g))
+    return curvatures, tuple((m1, m2)[i % 2] for i in range(g))
 
 
 @dataclass(frozen=True)
@@ -242,16 +216,16 @@ class MunznerReport:
     observed: np.ndarray
 
 
-def munzner_check(frame: SpherePointFrame, g: int, m1: int, m2: int) -> MunznerReport:
-    """Compare the shape spectrum against the cotangent-shift prediction.
+def munzner_check(frame: SpherePointFrame) -> MunznerReport:
+    """Compare the shape spectrum against the cotangent-shift prediction for
+    the frame's own (g, m1, m2).
 
     A match of the sign-flipped multiset is reported separately so an
     orientation mismatch is distinguishable from a genuine failure.
     """
-    expected = MunznerSpectrum.at_level(g, m1, m2, frame.f).values()
+    prof = frame.profile
+    expected = np.repeat(*cotangent_shift(prof.g, prof.m1, prof.m2, frame.f))
     observed = eigensolve(frame.shape).values
-    if len(expected) != len(observed):
-        return MunznerReport(False, float("inf"), False, expected, observed)
     dev = float(np.max(np.abs(observed - expected)))
     flipped = np.sort(-expected)[::-1]
     dev_flipped = float(np.max(np.abs(observed - flipped)))
@@ -268,10 +242,9 @@ def munzner_check(frame: SpherePointFrame, g: int, m1: int, m2: int) -> MunznerR
 def munzner_qk(g: int, m1: int, m2: int, t: float, k: int) -> float:
     """Power sum Q_k(t) of the level-set principal curvatures, summed over
     the m1 branches first, then the m2 branches."""
-    cots = cotangent_shift(g, t)
-    s1 = sum(c**k for c in cots[0::2])
-    s2 = sum(c**k for c in cots[1::2])
-    return m1 * s1 + m2 * s2
+    cots, mult = cotangent_shift(g, m1, m2, t)
+    # branches j, j + 2, ... share the multiplicity mult[j]
+    return sum(mult[j] * sum(c**k for c in cots[j::2]) for j in (0, 1))
 
 
 def munzner_q1_closed(g: int, m1: int, m2: int, t: float) -> float:
@@ -286,8 +259,7 @@ def munzner_rhobar(g: int, m1: int, m2: int, t: float, k: int) -> float:
     shifted curvature terms plus the fixed pair +-g(g-1)."""
     stretch = g * np.sqrt(1.0 - t * t)
     acc = 0.0
-    for i, lam in enumerate(cotangent_shift(g, t)):
-        mult = m1 if i % 2 == 0 else m2
+    for lam, mult in zip(*cotangent_shift(g, m1, m2, t)):
         acc += mult * (-stretch * lam + g * t) ** k
     acc += float(g**k) * float((g - 1) ** k) * (1.0 + (-1.0) ** k)
     return acc
@@ -308,15 +280,10 @@ def _relative_residual(power_sum, t: float, k: int, rhs: float) -> float:
     return float(abs(lhs - rhs) / scale)
 
 
-@dataclass(frozen=True)
-class QkRecurrenceReport:
-    max_residual: float
-
-
 def qk_recurrence_check(
     g: int, m1: int, m2: int, t_samples, k_max: int = 6
-) -> QkRecurrenceReport:
-    """Relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1},
+) -> float:
+    """Worst relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1},
     with the derivative taken by complex step through munzner_qk."""
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max = {k_max} out of range [1, 8]")
@@ -330,26 +297,21 @@ def qk_recurrence_check(
             rhs = (g / k) * np.sqrt(1.0 - t * t) * _t_derivative(qk, t, k)
             rhs -= qk(t, k - 1)
             residuals.append(_relative_residual(qk, t, k, rhs))
-    return QkRecurrenceReport(max_abs(residuals))
-
-
-@dataclass(frozen=True)
-class RhobarReport:
-    max_residual: float  # relative, of the first-order recurrence in t
-    path_agreement: float
-    seed_zero_error: float  # | rhobar_0 - (n + 2) |
-    seed_one_error: float  # | rhobar_1 - (g^2/2)(m2 - m1) |
+    return max_abs(residuals)
 
 
 def rhobar_recurrence_check(
     P: IsoPolynomial, t_samples, k_max: int = 6, seed: int = 0
-) -> RhobarReport:
+) -> dict:
     """Check the ambient-Hessian power sums along levels two ways.
 
     Path (a) is the analytic eigenvalue-list formula; path (b) evaluates
     rho_k of the actual Hessian at a point projected to each level. The
     first-order recurrence in t, whose source term alternates with the
     parity of k, is checked on path (a) with a complex-step derivative.
+    Returns the max-abs residuals by name: "recurrence" (relative),
+    "path-agreement" (a vs b), "seed-zero" (|rhobar_0 - (n + 2)|) and
+    "seed-one" (|rhobar_1 - (g^2/2)(m2 - m1)|).
     """
     g, m1, m2 = P.g, P.m1, P.m2
     n = P.n
@@ -358,8 +320,7 @@ def rhobar_recurrence_check(
     worst, agree, seed0, seed1 = [], [], [], []
     for t in t_samples:
         t = float(t)
-        y = level_project(P, x0, t).point
-        hess = eval_hessian(P, y)
+        hess = eval_hessian(P, level_project(P, x0, t))
         agree += [rb(t, k) - rho_k(hess, k) for k in range(0, k_max + 1)]
         seed0.append(rb(t, 0) - (n + 2.0))
         seed1.append(rb(t, 1) - 0.5 * g * g * (m2 - m1))
@@ -373,20 +334,12 @@ def rhobar_recurrence_check(
                 + source
             )
             worst.append(_relative_residual(rb, t, k, rhs))
-    return RhobarReport(
-        max_residual=max_abs(worst),
-        path_agreement=max_abs(agree),
-        seed_zero_error=max_abs(seed0),
-        seed_one_error=max_abs(seed1),
-    )
-
-
-@dataclass(frozen=True)
-class LevelProjection:
-    point: np.ndarray
-    arc: float  # signed arc length moved along the normal great circle
-    level_residual: float
-    path_residual: float
+    return {
+        "recurrence": max_abs(worst),
+        "path-agreement": max_abs(agree),
+        "seed-zero": max_abs(seed0),
+        "seed-one": max_abs(seed1),
+    }
 
 
 def landing_arc(tau0: float, t_target: float, g: int) -> float:
@@ -399,13 +352,14 @@ def landing_arc(tau0: float, t_target: float, g: int) -> float:
 brentq = landing_arc
 
 
-def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
-    """Move x along its normal great circle to the level F = t_target.
+def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
+    """Move x along its normal great circle to the level F = t_target and
+    return the landed unit point.
 
     F(cos s x + sin s nu) = cos(g (tau0 - s)) on the normal arc, so the
     landing arc is closed form. Both the landing level and, at 20
     intermediate arcs in one block, the whole path are then verified
-    through eval_F.
+    through eval_F; either missing PROJECTION_TOL raises ProjectionError.
     """
     x = np.asarray(x, dtype=float)
     if not abs(t_target) <= 1.0 - EPS_FOCAL:
@@ -434,10 +388,7 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> LevelProjection:
         raise ProjectionError(
             f"normal arc leaves cos(g (tau0 - s)) by {path_residual:.3e}"
         )
-    return LevelProjection(
-        point=y, arc=float(arc),
-        level_residual=float(level_residual), path_residual=float(path_residual),
-    )
+    return y
 
 
 def transnormal_residuals(P: IsoPolynomial, x):

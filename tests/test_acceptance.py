@@ -220,7 +220,7 @@ def test_criterion_07_curvature_spectrum(capsys):
     worst = 0.0
     for key, fam in FAMILIES.items():
         for x in regular_sphere_points(fam, 50, SEED + 6):
-            report = munzner_check(frame_at(fam, x), fam.g, fam.m1, fam.m2)
+            report = munzner_check(frame_at(fam, x))
             assert report.match, f"{key}: deviation {report.max_deviation:.3e}"
             worst = max(worst, report.max_deviation)
     ok = worst < tol
@@ -235,11 +235,11 @@ def test_criterion_08_level_recurrences(capsys):
     grid = np.linspace(-0.9, 0.9, 22)[1:-1]  # 20 interior values
     worst = 0.0
     for fam in FAMILIES.values():
-        qrep = qk_recurrence_check(fam.g, fam.m1, fam.m2, grid, k_max=6)
-        rrep = rhobar_recurrence_check(fam, grid, k_max=6, seed=SEED + 7)
-        assert rrep.seed_zero_error == 0.0
-        assert rrep.seed_one_error < 1e-12
-        worst = max(worst, qrep.max_residual, rrep.max_residual)
+        q_res = qk_recurrence_check(fam.g, fam.m1, fam.m2, grid, k_max=6)
+        rhobar = rhobar_recurrence_check(fam, grid, k_max=6, seed=SEED + 7)
+        assert rhobar["seed-zero"] == 0.0
+        assert rhobar["seed-one"] < 1e-12
+        worst = max(worst, q_res, rhobar["recurrence"])
     ok = worst < tol
     emit(
         capsys, 8, "level-recurrences", ok,
@@ -320,7 +320,8 @@ def test_criterion_10_curvature_evolution(capsys):
             rc.check_power_sum_recurrence(fam, times, i_max=6),
             rc.check_gamma_recurrence(fam, times, i_max=5),
         )
-        worst_chain = max(worst_chain, rc.check_moment_chain(fam, times).max_residual)
+        chain = rc.check_moment_chain(fam, times)
+        worst_chain = max(worst_chain, np.max(list(chain.values())))
     ok = (
         worst_flow < 1e-8
         and worst_lemma < 1e-9

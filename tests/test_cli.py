@@ -648,19 +648,32 @@ class TestReportContract:
         assert keys == sorted(keys)
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only numerical dependency; importing scipy would add
-    # about half a second to every command.
+@pytest.fixture(scope="module")
+def cold_cli_packages():
+    """Top-level packages loaded by `import isopar.cli` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = (
         "import sys, isopar.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True,
         text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_cli_import_loads_no_scipy(cold_cli_packages):
+    # numpy is the only numerical dependency; importing scipy would add
+    # about half a second to every command.
+    assert "scipy" not in cold_cli_packages
+
+
+def test_cli_import_loads_no_test_dependency(cold_cli_packages):
+    # sympy, mpmath and hypothesis serve the tests only; none may reach the
+    # start-up of a command.
+    optional = {"sympy", "mpmath", "scipy", "hypothesis"}
+    assert not optional & cold_cli_packages
 
 
 def readme_commands():

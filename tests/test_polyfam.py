@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isopar import polyfam
-from isopar.errors import ConstructionError, FocalPointError
+from isopar.errors import ConstructionError
 from isopar.monomials import MonomialForm
 from isopar.polyfam import (
     cm_residuals,
-    delta_H_convert,
     delta_k,
     eval_F,
     eval_F_monomial,
@@ -458,30 +457,3 @@ class TestDisplayedIdentities:
         closed = direct - res
         assert closed == pytest.approx(direct, rel=1e-10)
 
-
-class TestDeltaHConversion:
-    @given(
-        st.lists(
-            st.floats(min_value=-3.0, max_value=3.0),
-            min_size=1,
-            max_size=6,
-        ),
-        st.floats(min_value=-0.95, max_value=0.95),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, h_values, f):
-        prof = profile_of(family("cartan1"))
-        deltas = delta_H_convert(h_values, prof, f, "to_delta")
-        back = delta_H_convert(deltas, prof, f, "to_H")
-        scale = max(1.0, max(abs(v) for v in h_values))
-        assert max(abs(a - b) for a, b in zip(h_values, back)) < 1e-9 * scale
-
-    def test_rejects_focal_level(self):
-        prof = profile_of(family("cartan1"))
-        with pytest.raises(FocalPointError):
-            delta_H_convert([1.0], prof, 1.0, "to_delta")
-
-    def test_rejects_unknown_direction(self):
-        prof = profile_of(family("cartan1"))
-        with pytest.raises(ValueError):
-            delta_H_convert([1.0], prof, 0.0, "sideways")

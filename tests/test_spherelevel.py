@@ -11,7 +11,7 @@ from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
 from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot
 from isopar.spherelevel import (
-    MunznerSpectrum,
+    cotangent_shift,
     frame_at,
     level_project,
     munzner_check,
@@ -105,7 +105,7 @@ class TestOrthonormalComplement:
         # the helper expects orthonormal input rows (as frame_at provides)
         rng = np.random.default_rng(13)
         vecs = np.linalg.qr(rng.standard_normal((7, 2)))[0].T
-        basis = orthonormal_complement(vecs, 7)
+        basis = orthonormal_complement(vecs)
         assert basis.shape == (5, 7)
         assert np.max(np.abs(basis @ basis.T - np.eye(5))) < 1e-12
         assert np.max(np.abs(basis @ vecs.T)) < 1e-12
@@ -114,7 +114,7 @@ class TestOrthonormalComplement:
         # Every standard basis vector projects to the same norm here.
         s = np.sqrt(0.5)
         vecs = np.array([[s, s, 0.0, 0.0], [0.0, 0.0, s, s]])
-        basis = orthonormal_complement(vecs, 4)
+        basis = orthonormal_complement(vecs)
         assert basis.shape == (2, 4)
         assert np.max(np.abs(basis @ basis.T - np.eye(2))) < 1e-14
         assert np.max(np.abs(basis @ vecs.T)) < 1e-14
@@ -122,11 +122,11 @@ class TestOrthonormalComplement:
     def test_rank_deficient_input_raises(self):
         row = np.array([0.6, 0.8, 0.0, 0.0])
         with pytest.raises(ConditioningError, match="rank-deficient"):
-            orthonormal_complement(np.vstack([row, row]), 4)
+            orthonormal_complement(np.vstack([row, row]))
 
     def test_nan_rows_raise(self):
         with pytest.raises(ConditioningError, match="rank-deficient"):
-            orthonormal_complement(np.full((2, 6), np.nan), 6)
+            orthonormal_complement(np.full((2, 6), np.nan))
 
 
 class TestFrameStacks:
@@ -202,17 +202,17 @@ class TestFrameStacks:
         vecs = np.array(
             [np.linalg.qr(rng.standard_normal((7, 2)))[0].T for _ in range(5)]
         )
-        stack = orthonormal_complement(vecs, 7)
+        stack = orthonormal_complement(vecs)
         assert stack.shape == (5, 5, 7)
         for v, basis in zip(vecs, stack):
-            assert np.allclose(basis, orthonormal_complement(v, 7), rtol=1e-13, atol=1e-13)
+            assert np.allclose(basis, orthonormal_complement(v), rtol=1e-13, atol=1e-13)
 
     def test_complement_stack_rank_deficient_member_raises(self):
         rng = np.random.default_rng(41)
         vecs = rng.standard_normal((3, 2, 6))
         vecs[2, 1] = 2.0 * vecs[2, 0]
         with pytest.raises(ConditioningError, match="member 2 of the stack"):
-            orthonormal_complement(vecs, 6)
+            orthonormal_complement(vecs)
 
 
 class TestFrames:
@@ -264,7 +264,7 @@ class TestMunznerSpectrum:
         fam = family(name)
         for x in regular_sphere_points(fam, 10, 23):
             frame = frame_at(fam, x)
-            report = munzner_check(frame, fam.g, fam.m1, fam.m2)
+            report = munzner_check(frame)
             assert report.match, report.max_deviation
             assert report.max_deviation < 1e-6
             assert not report.orientation_flipped
@@ -277,8 +277,12 @@ class TestMunznerSpectrum:
         for i in range(g):
             lam = np.cos(tau + i * np.pi / g) / np.sin(tau + i * np.pi / g)
             values.extend([lam] * (m1 if i % 2 == 0 else m2))
-        expected = MunznerSpectrum.at_level(g, m1, m2, t).values()
+        expected = np.repeat(*cotangent_shift(g, m1, m2, t))
         assert np.max(np.abs(np.sort(expected) - np.sort(values))) < 1e-14
+
+    def test_multiplicities_alternate(self):
+        assert cotangent_shift(3, 2, 5, 0.1)[1] == (2, 5, 2)
+        assert cotangent_shift(4, 2, 5, 0.1)[1] == (2, 5, 2, 5)
 
     def test_multiplicity_pattern(self):
         fam = family("fkm24")
@@ -287,11 +291,6 @@ class TestMunznerSpectrum:
         assert sum(spec.multiplicities()) == fam.n
         assert sorted(spec.multiplicities()) == sorted((2, 1, 2, 1))
 
-    def test_wrong_g_is_reported(self):
-        fam = family("cartan1")
-        x = regular_sphere_points(fam, 1, 31)[0]
-        report = munzner_check(frame_at(fam, x), 4, fam.m1, fam.m2)
-        assert not report.match
 
 
 class TestMoments:
@@ -330,8 +329,7 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("g,m1,m2", [(3, 1, 1), (3, 2, 2), (4, 2, 1)])
     def test_qk_recurrence(self, g, m1, m2):
-        report = qk_recurrence_check(g, m1, m2, self.ts, 6)
-        assert report.max_residual < 1e-12
+        assert qk_recurrence_check(g, m1, m2, self.ts, 6) < 1e-12
 
     def test_qk_range_validation(self):
         with pytest.raises(ValueError):
@@ -345,8 +343,7 @@ class TestRecurrences:
             spherelevel, "munzner_qk",
             lambda g, m1, m2, t, k: math.nan if k == 3 else qk(g, m1, m2, t, k),
         )
-        report = qk_recurrence_check(3, 1, 1, self.ts, 6)
-        assert math.isnan(report.max_residual)
+        assert math.isnan(qk_recurrence_check(3, 1, 1, self.ts, 6))
 
     def test_relative_residual_keeps_a_nan_scale(self):
         # lhs and rhs agree; only the scale term (the order-4 sum) is NaN
@@ -357,9 +354,9 @@ class TestRecurrences:
     @pytest.mark.parametrize(
         "bad_k,fields",
         [
-            (0, ("max_residual", "path_agreement", "seed_zero_error")),
-            (1, ("max_residual", "path_agreement", "seed_one_error")),
-            (3, ("max_residual", "path_agreement")),
+            (0, ("recurrence", "path-agreement", "seed-zero")),
+            (1, ("recurrence", "path-agreement", "seed-one")),
+            (3, ("recurrence", "path-agreement")),
         ],
     )
     def test_rhobar_recurrence_keeps_a_nan_power_sum(self, monkeypatch, bad_k, fields):
@@ -369,18 +366,18 @@ class TestRecurrences:
             lambda g, m1, m2, t, k: math.nan if k == bad_k else rb(g, m1, m2, t, k),
         )
         report = rhobar_recurrence_check(family("cartan1"), [-0.3, 0.2], 6)
-        for name in ("max_residual", "path_agreement", "seed_zero_error",
-                     "seed_one_error"):
-            assert math.isnan(getattr(report, name)) == (name in fields), name
+        assert set(report) == {"recurrence", "path-agreement", "seed-zero", "seed-one"}
+        for name, value in report.items():
+            assert math.isnan(value) == (name in fields), name
 
     @pytest.mark.parametrize("name", ["cartan1", "fkm24", "ot1"])
     def test_rhobar_recurrence(self, name):
         fam = family(name)
         report = rhobar_recurrence_check(fam, self.ts, 6)
-        assert report.seed_zero_error == 0.0
-        assert report.seed_one_error < 1e-12
-        assert report.max_residual < 1e-12
-        assert report.path_agreement < 1e-7
+        assert report["seed-zero"] == 0.0
+        assert report["seed-one"] < 1e-12
+        assert report["recurrence"] < 1e-12
+        assert report["path-agreement"] < 1e-7
 
 
 class TestLevelProjection:
@@ -388,11 +385,21 @@ class TestLevelProjection:
     def test_lands_on_target(self, name):
         fam = family(name)
         for x in regular_sphere_points(fam, 5, 37):
+            frame = frame_at(fam, x)
+            tau0 = np.arccos(frame.f) / fam.g
             for target in (-0.4, 0.0, 0.55):
-                proj = level_project(fam, x, target)
-                assert abs(eval_F(fam, proj.point) - target) < 1e-9
-                assert abs(np.linalg.norm(proj.point) - 1.0) < 1e-12
-                assert proj.path_residual < 1e-12
+                y = level_project(fam, x, target)
+                assert abs(eval_F(fam, y) - target) < 1e-9
+                assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+                # y lies on the normal great circle of x; F follows
+                # cos(g (tau0 - s)) along the whole arc up to it
+                arc = np.arctan2(y @ frame.nu, y @ x)
+                assert np.allclose(np.cos(arc) * x + np.sin(arc) * frame.nu, y,
+                                   rtol=0.0, atol=1e-12)
+                s = np.linspace(min(0.0, arc), max(0.0, arc), 20)
+                arcs = np.cos(s)[:, None] * x + np.sin(s)[:, None] * frame.nu
+                path = np.abs(eval_F(fam, arcs) - np.cos(fam.g * (tau0 - s)))
+                assert np.max(path) < 1e-12
 
     def test_three_evaluations_per_projection(self, monkeypatch):
         # start level, landing level, and the 20 path points as one block
