@@ -238,23 +238,36 @@ def _build_family(args, report: SuiteReport) -> IsoPolynomial:
     # Every family command samples; zero samples would pass vacuously.
     if args.samples < 1:
         raise ConstructionError(f"--samples must be at least 1, got {args.samples}")
+    m, r = args.m, args.r
     if args.family == "cartan":
-        if args.m is None:
+        if m is None:
             raise ConstructionError("cartan needs --m (1, 2, 4 or 8)")
-        fam = make_cartan(args.m)
+        r = None
     elif args.family == "fkm":
-        if args.m is None or args.r is None:
+        if m is None or r is None:
             raise ConstructionError("fkm needs --m and --r")
-        fam = make_fkm(args.m, args.r)
     else:
-        if args.r is None:
+        if r is None:
             raise ConstructionError("ot needs --r")
-        fam = make_ot(args.r)
+        m = None
+    fam = _member(args.family, m, r)
     report.params.update(
         family=fam.family, g=fam.g, m1=fam.m1, m2=fam.m2, dim=fam.ambient_dim
     )
     report.samples = args.samples
     return fam
+
+
+@functools.cache
+def _member(family: str, m, r) -> IsoPolynomial:
+    """One family member, built once per process: a member is immutable and
+    its build and construction check are deterministic, so later calls share
+    it. make_* are looked up at call time; a failed build is not cached."""
+    if family == "cartan":
+        return make_cartan(m)
+    if family == "fkm":
+        return make_fkm(m, r)
+    return make_ot(r)
 
 
 def _block_residuals(count: int, evaluate) -> np.ndarray:
@@ -329,56 +342,70 @@ def cmd_verify_hidden(args, report):
         ks = [1, 2, 3, 4, 5]
     else:
         ks = [2, 3]
+    minor_ks = [k for k in ks if is_cartan_base and 1 <= k <= 5]
+    rho_ks = [k for k in ks if 2 <= k <= 4]
+    rows = []  # (name, tolerance, ref) in report order
     for k in ks:
-        delta_ok = is_cartan_base and 1 <= k <= 5
-        rho_ok = 2 <= k <= 4
-        if not (delta_ok or rho_ok):
+        if k not in minor_ks and k not in rho_ks:
             raise ConstructionError(
                 f"k = {k} has no recorded closed form for this family "
                 "(identity range 1..5 for the base cubic, 2..4 otherwise)"
             )
+        if k in minor_ks:
+            rows.append((
+                f"hessian-minor-identity-{k}", args.tol,
+                "k-th elementary symmetric function of the Hessian, "
+                "closed form for the 5-variable cubic",
+            ))
+        if k in rho_ks:
+            informational = k == 4 and fam.n < 4
+            rows.append((
+                f"power-sum-closed-form-{k}", None if informational else args.tol,
+                "power sum of Hessian eigenvalues vs its homogenized "
+                "closed form" + (" (below its stated rank bound)" if informational else ""),
+            ))
     report.params["k"] = ",".join(str(k) for k in ks)
 
     pts = _ball_points(fam.ambient_dim, args.samples, report.seed, radius=1.5)
     norms = np.linalg.norm(pts, axis=1)
 
-    def minor_identity(k, block):
-        # Displayed identities for the 5-variable cubic:
-        # sigma_1 = 0, sigma_2 = -63|x|^2, sigma_3 = -54F,
-        # sigma_4 = 972|x|^4, sigma_5 = 1944|x|^2 F.
+    def residuals(block):
+        # Every k of a block shares one Hessian for the minor identities and
+        # one jet for the power sums.
         x, r = pts[block], norms[block]
-        F = eval_F(fam, x) if k in (3, 5) else 0.0
-        rhs = (0.0, -63.0 * r**2, -54.0 * F, 972.0 * r**4, 1944.0 * r**2 * F)
-        return np.abs(delta_k(fam, x, k) - rhs[k - 1]) / np.maximum(r**k, 1e-30)
+        res = {}
+        if minor_ks:
+            # Displayed identities for the 5-variable cubic:
+            # sigma_1 = 0, sigma_2 = -63|x|^2, sigma_3 = -54F,
+            # sigma_4 = 972|x|^4, sigma_5 = 1944|x|^2 F.
+            F = eval_F(fam, x) if {3, 5} & set(minor_ks) else 0.0
+            rhs = (0.0, -63.0 * r**2, -54.0 * F, 972.0 * r**4, 1944.0 * r**2 * F)
+            for k, sigma in zip(minor_ks, delta_k(fam, x, minor_ks)):
+                res[f"hessian-minor-identity-{k}"] = np.abs(
+                    sigma - rhs[k - 1]
+                ) / np.maximum(r**k, 1e-30)
+        if rho_ks:
+            for k, rho in zip(rho_ks, hidden_rho_residual(fam, x, rho_ks)):
+                scale = np.maximum(r ** (k * (fam.g - 2)), 1e-30)
+                res[f"power-sum-closed-form-{k}"] = np.abs(rho) / scale
+        return [res[name] for name, _, _ in rows]
 
-    def power_sum(k, block):
-        scale = np.maximum(norms[block] ** (k * (fam.g - 2)), 1e-30)
-        return np.abs(hidden_rho_residual(fam, pts[block], k)) / scale
-
-    for k in ks:
-        if is_cartan_base and 1 <= k <= 5:
-            report.add(
-                f"hessian-minor-identity-{k}",
-                _block_residuals(args.samples, functools.partial(minor_identity, k)),
-                args.tol,
-                "k-th elementary symmetric function of the Hessian, "
-                "closed form for the 5-variable cubic",
-            )
-        if 2 <= k <= 4:
-            informational = k == 4 and fam.n < 4
-            report.add(
-                f"power-sum-closed-form-{k}",
-                _block_residuals(args.samples, functools.partial(power_sum, k)),
-                None if informational else args.tol,
-                "power sum of Hessian eigenvalues vs its homogenized "
-                "closed form" + (" (below its stated rank bound)" if informational else ""),
-            )
+    for (name, tol, ref), res in zip(rows, _block_residuals(args.samples, residuals)):
+        report.add(name, res, tol, ref)
 
 
 # -------------------------------------------------------------- alpha-scan
 
 
 def cmd_alpha_scan(args, report):
+    if args.family == "cartan":
+        # cartan m = 1 has odd dimension, and for m = 2, 4, 8 every --J
+        # either fails the S^1 invariance check or has no structure in
+        # dimension 3m + 2.
+        raise ConstructionError(
+            "no cubic (cartan) pairing admits the circle action; "
+            "alpha-scan needs --family fkm or ot"
+        )
     fam = _build_family(args, report)
     jtag = J_CHOICES[args.J]
     J = build_complex_structure(jtag, fam.ambient_dim)

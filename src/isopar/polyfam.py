@@ -29,7 +29,7 @@ from .clifford import (
 )
 from .errors import ConstructionError
 from .monomials import MonomialForm, norm_square_form, quadratic_form
-from .symmat import SymmetricMatrix, rho_k, scalar_or_stack, sigma_k
+from .symmat import SymmetricMatrix, elementary_symmetric, rho_k, scalar_or_stack
 
 XCHECK_SEED = 20240817
 XCHECK_POINTS = 100
@@ -426,48 +426,56 @@ def cm_residuals(P: IsoPolynomial, x):
     return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
 
 
-def delta_k(P: IsoPolynomial, x, k: int):
-    """k-th elementary symmetric function of the ambient Hessian at x (one
-    value per row of an (N, d) block)."""
-    if not 1 <= k <= P.ambient_dim:
-        raise ValueError(f"k = {k} out of range [1, {P.ambient_dim}]")
-    return sigma_k(eval_hessian(P, x), k)
+def delta_k(P: IsoPolynomial, x, ks):
+    """k-th elementary symmetric function of the ambient Hessian at x for
+    every k in ks, from one Hessian and one eigensolve: a tuple with one
+    entry per k, each a float or one value per row of an (N, d) block."""
+    for k in ks:
+        if not 1 <= k <= P.ambient_dim:
+            raise ValueError(f"k = {k} out of range [1, {P.ambient_dim}]")
+    sigma = elementary_symmetric(eval_hessian(P, x), max(ks))
+    return tuple(scalar_or_stack(sigma[..., k]) for k in ks)
 
 
-def hidden_rho_residual(P: IsoPolynomial, x, k: int):
-    """Residual of the closed form for rho_k(D^2 F), k in {2, 3, 4}; one
-    value per row of an (N, d) block.
-
-    The k = 4 expression is stated for n >= 4; for smaller families it is
-    evaluated exactly as written and the residual simply reported.
-    """
-    x = _check_point(P, x)
-    r = _nonzero_radius(x)
+def _rho_closed(P: IsoPolynomial, F, r, k: int):
+    """The homogenized closed form of rho_k(D^2 F), k in {2, 3, 4}."""
     g, n = float(P.g), float(P.n)
     dm = float(P.m2 - P.m1)
-    F, _, hess = eval_jet(P, x)
-    direct = rho_k(hess, k)
     if k == 2:
-        closed = -(g**3 / 2.0) * (g - 2.0) * dm * F * r ** (g - 4) + g * g * (
+        return -(g**3 / 2.0) * (g - 2.0) * dm * F * r ** (g - 4) + g * g * (
             g - 1.0
         ) * (n + 2.0 * g - 2.0) * r ** (2 * g - 4)
-    elif k == 3:
-        closed = (
+    if k == 3:
+        return (
             (g**4 / 4.0) * (g - 2.0) * (g - 4.0) * dm * F * F * r ** (g - 6)
             - n * g**3 * (g - 1.0) * (g - 2.0) * F * r ** (2 * g - 6)
             + (g**4 / 4.0) * (g * g - 2.0) * dm * r ** (3 * g - 6)
         )
-    elif k == 4:
-        closed = (
-            -(g**5 / 12.0) * (g - 2.0) * (g - 4.0) * (g - 6.0) * dm * F**3 * r ** (g - 8)
-            + (2.0 * n / 3.0) * g**4 * (g - 1.0) * (g - 2.0) * (g - 3.0) * F * F
-            * r ** (2 * g - 8)
-            - (g**5 / 12.0) * (g - 2.0) * (5.0 * g * g - 2.0 * g - 12.0) * dm * F
-            * r ** (3 * g - 8)
-            + ((n / 3.0) * g**4 * (g - 1.0) * (g * g + g - 3.0)
-               + 2.0 * g**4 * (g - 1.0) ** 4) * r ** (4 * g - 8)
-        )
-    else:
-        raise ValueError(f"closed forms available for k in (2, 3, 4), got {k}")
-    return scalar_or_stack(direct - closed)
+    return (
+        -(g**5 / 12.0) * (g - 2.0) * (g - 4.0) * (g - 6.0) * dm * F**3 * r ** (g - 8)
+        + (2.0 * n / 3.0) * g**4 * (g - 1.0) * (g - 2.0) * (g - 3.0) * F * F
+        * r ** (2 * g - 8)
+        - (g**5 / 12.0) * (g - 2.0) * (5.0 * g * g - 2.0 * g - 12.0) * dm * F
+        * r ** (3 * g - 8)
+        + ((n / 3.0) * g**4 * (g - 1.0) * (g * g + g - 3.0)
+           + 2.0 * g**4 * (g - 1.0) ** 4) * r ** (4 * g - 8)
+    )
 
+
+def hidden_rho_residual(P: IsoPolynomial, x, ks):
+    """Residual of the closed form for rho_k(D^2 F) for every k in ks, each
+    in {2, 3, 4}, from one jet: a tuple with one entry per k, each a float
+    or one value per row of an (N, d) block.
+
+    The k = 4 expression is stated for n >= 4; for smaller families it is
+    evaluated exactly as written and the residual simply reported.
+    """
+    for k in ks:
+        if k not in (2, 3, 4):
+            raise ValueError(f"closed forms available for k in (2, 3, 4), got {k}")
+    x = _check_point(P, x)
+    r = _nonzero_radius(x)
+    F, _, hess = eval_jet(P, x)
+    return tuple(
+        scalar_or_stack(rho_k(hess, k) - _rho_closed(P, F, r, k)) for k in ks
+    )

@@ -10,7 +10,7 @@ normal great circle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -35,7 +35,8 @@ PROJECTION_TOL = 1e-10  # level and path gates of level_project
 def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
     """Unit-sphere samples with |F| <= f_bound, redrawing per-index substreams
     (i, attempt) so the result is reproducible and independent of rejection
-    counts. Each attempt round gates every pending index with one eval_F."""
+    counts. Each attempt round normalises and gates every pending index with
+    one point_norm and one eval_F."""
     pts = np.empty((count, P.ambient_dim))
     pending = np.arange(count)
     for attempt in range(64):
@@ -45,9 +46,11 @@ def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(int(i), attempt))
             )
-            v = rng.standard_normal(P.ambient_dim)
-            pts[i] = v / np.linalg.norm(v)
-        pending = pending[~(np.abs(eval_F(P, pts[pending])) <= f_bound)]
+            pts[i] = rng.standard_normal(P.ambient_dim)
+        rows = pts[pending]
+        rows /= point_norm(rows)[:, None]
+        pts[pending] = rows
+        pending = pending[~(np.abs(eval_F(P, rows)) <= f_bound)]
     if pending.size:
         raise FocalPointError("could not draw a point away from the focal bands")
     return pts
@@ -94,8 +97,8 @@ class SpherePointFrame:
     derived quantity reads them. tangent_basis: n orthonormal rows spanning
     the level-set tangent space (orthogonal to x and to the spherical
     gradient). hessian_sph is the spherical Hessian of f = F|_S in the frame
-    (e_1..e_n, nu), order n+1; shape is the level-set shape operator, order
-    n. Both are derived at construction.
+    (e_1..e_n, nu), order n+1, derived at construction; shape is the
+    level-set shape operator, order n, derived and gated on first read.
     """
 
     point: np.ndarray
@@ -108,17 +111,23 @@ class SpherePointFrame:
     tangent_basis: np.ndarray
     profile: object
     hessian_sph: SymmetricMatrix = field(init=False)
-    shape: SymmetricMatrix = field(init=False)
+    # hessian_sph before symmetrisation, which shape is read from
+    _hessian_raw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.tangent_basis.shape[-2]
-        hess_sph = self.hessian_in(
+        raw = self.hessian_in(
             np.concatenate([self.tangent_basis, self.nu[..., None, :]], axis=-2)
         )
-        object.__setattr__(self, "hessian_sph", SymmetricMatrix(hess_sph))
-        object.__setattr__(
-            self, "shape",
-            SymmetricMatrix(-hess_sph[..., :n, :n] / _stacked(self.grad_norm)),
+        object.__setattr__(self, "_hessian_raw", raw)
+        object.__setattr__(self, "hessian_sph", SymmetricMatrix(raw))
+
+    @cached_property
+    def shape(self) -> SymmetricMatrix:
+        """-hessian_sph[:n, :n] / grad_norm, read from the unsymmetrised
+        Hessian and symmetry-gated on first read."""
+        n = self.tangent_basis.shape[-2]
+        return SymmetricMatrix(
+            -self._hessian_raw[..., :n, :n] / _stacked(self.grad_norm)
         )
 
     def hessian_in(self, rows) -> np.ndarray:
@@ -131,7 +140,7 @@ class SpherePointFrame:
 
     def residuals(self) -> dict:
         """Max-abs residuals of the frame invariants (over the whole stack)."""
-        n = self.shape.order
+        n = self.tangent_basis.shape[-2]
         hs = self.hessian_sph.entries
         f = np.asarray(self.f)
         res = {

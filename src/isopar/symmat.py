@@ -126,14 +126,17 @@ def eigensolve(M: SymmetricMatrix) -> Spectrum:
     return Spectrum.from_values(w)
 
 
-def _elementary_from_values(values, k):
+def elementary_symmetric(M: SymmetricMatrix, k: int) -> np.ndarray:
+    """sigma_0..sigma_k of the eigenvalues of M from one eigensolve, along a
+    new last axis (one row per matrix of a stack)."""
+    w, _ = eigh(M.entries)
     # e[..., j] accumulates the degree-j elementary symmetric function of the
-    # last axis; the slice RHS is materialized before the in-place add, so
-    # order is safe.
-    e = np.zeros(values.shape[:-1] + (k + 1,))
+    # eigenvalues; the slice RHS is materialized before the in-place add, so
+    # order is safe, and e[..., j] does not depend on k.
+    e = np.zeros(w.shape[:-1] + (k + 1,))
     e[..., 0] = 1.0
-    for j in range(values.shape[-1]):
-        e[..., 1 : k + 1] += values[..., j, None] * e[..., 0:k]
+    for j in range(w.shape[-1]):
+        e[..., 1 : k + 1] += w[..., j, None] * e[..., 0:k]
     return e
 
 
@@ -145,8 +148,7 @@ def sigma_k(M: SymmetricMatrix, k: int):
         raise ValueError(f"k = {k} out of range [0, {n}]")
     if k == 0:
         return scalar_or_stack(np.ones(M.entries.shape[:-2]))
-    w, _ = eigh(M.entries)
-    return scalar_or_stack(_elementary_from_values(w, k)[..., k])
+    return scalar_or_stack(elementary_symmetric(M, k)[..., k])
 
 
 def sigma_k_minor_sum(M: SymmetricMatrix, k: int) -> float:

@@ -29,6 +29,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+@pytest.fixture
+def fresh_members():
+    """An empty member cache before and after the test, so a patched make_*
+    sees every build the run asks for."""
+    cli._member.cache_clear()
+    yield
+    cli._member.cache_clear()
+
+
 BASE_KEYS = {
     "schema", "command", "params", "seed", "generator",
     "samples", "max_residual", "pass", "details",
@@ -75,6 +84,7 @@ class TestVerifyCm:
         assert doc["pass"] is False
         assert any(row["residual"] > row["tolerance"] for row in doc["details"])
 
+    @pytest.mark.usefixtures("fresh_members")
     @pytest.mark.parametrize("command", ["verify-cm", "verify-hidden"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
     def test_bad_tolerance_is_usage_error(self, capsys, monkeypatch, command, tol):
@@ -223,7 +233,10 @@ class TestSampleBlocks:
         assert code == 0
         assert doc["samples"] == self.SAMPLES
 
-    def test_hessian_calls_per_block(self, capsys, monkeypatch):
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The shape of every eval_jet, eval_grad and eval_hessian call made
+        through any isopar module."""
         calls = {"eval_jet": [], "eval_grad": [], "eval_hessian": []}
 
         def counted(name, original):
@@ -240,6 +253,10 @@ class TestSampleBlocks:
                     module, name, None
                 ) is original:
                     monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_hessian_calls_per_block(self, capsys, kernel_calls):
+        calls = kernel_calls
         code, _ = run(capsys, ["verify-cm", "--family", "cartan", "--m", "1",
                                "--samples", "200"])
         assert code == 0
@@ -249,6 +266,70 @@ class TestSampleBlocks:
         assert len(calls["eval_jet"]) == 2 * blocks
         assert sum(shape[0] for shape in calls["eval_jet"]) == 2 * 200
         assert calls["eval_grad"] == calls["eval_hessian"] == []
+
+    def test_hidden_power_sums_read_one_jet_per_block(self, capsys, kernel_calls):
+        calls = kernel_calls
+        code, _ = run(capsys, ["verify-hidden", "--family", "ot", "--r", "3",
+                               "--k", "2,3,4", "--samples", "200"])
+        assert code == 0
+        # every k of a block reads the same jet
+        assert len(calls["eval_jet"]) == -(-200 // cli._SAMPLE_BLOCK)
+        assert sum(shape[0] for shape in calls["eval_jet"]) == 200
+        assert calls["eval_grad"] == calls["eval_hessian"] == []
+
+    def test_hidden_cartan_defaults_read_two_hessians_per_block(
+        self, capsys, kernel_calls
+    ):
+        calls = kernel_calls
+        code, doc = run_json(capsys, ["verify-hidden", "--family", "cartan",
+                                      "--m", "1", "--samples", "200"])
+        assert code == 0
+        assert len(doc["details"]) == 8  # five minor identities, three power sums
+        # one Hessian for sigma_1..sigma_5, one jet for rho_2..rho_4
+        hessians = calls["eval_jet"] + calls["eval_hessian"]
+        assert len(hessians) <= 2 * -(-200 // cli._SAMPLE_BLOCK)
+        assert calls["eval_grad"] == []
+
+
+@pytest.mark.usefixtures("fresh_members")
+class TestMemberCache:
+    """Each family member is built once per process."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        built = []
+        original = getattr(cli, name)
+
+        def builder(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, builder)
+        return built
+
+    def test_second_run_builds_nothing(self, capsys, monkeypatch):
+        built = self.counting(monkeypatch, "make_cartan")
+        argv = ["verify-cm", "--family", "cartan", "--m", "1", "--samples", "10"]
+        first = run(capsys, argv)
+        assert first[0] == 0
+        assert run(capsys, argv) == first
+        # --r means nothing to the cubic and does not split its entry
+        assert run(capsys, argv + ["--r", "3"]) == first
+        assert built == [(1,)]
+        code, _ = run(capsys, ["verify-hidden", "--family", "cartan", "--m", "2",
+                               "--samples", "5"])
+        assert code == 0
+        assert built == [(1,), (2,)]
+
+    def test_failed_build_is_not_cached(self, capsys, monkeypatch):
+        built = self.counting(monkeypatch, "make_fkm")
+        for _ in range(2):
+            code, doc = run_json(
+                capsys, ["verify-cm", "--family", "fkm", "--m", "2", "--r", "3"]
+            )
+            assert code == 2
+            assert doc["error"]["type"] == "ConstructionError"
+        assert built == [(2, 3), (2, 3)]
 
 
 class TestAlphaScan:
@@ -282,6 +363,21 @@ class TestAlphaScan:
             capsys, ["alpha-scan", "--family", "cartan", "--m", "1"]
         )
         assert code == 2
+
+    @pytest.mark.usefixtures("fresh_members")
+    @pytest.mark.parametrize("J", sorted(cli.J_CHOICES))
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_cartan_fails_before_the_build(self, capsys, monkeypatch, m, J):
+        def no_build(m):
+            raise AssertionError("cartan member built for alpha-scan")
+
+        monkeypatch.setattr(cli, "make_cartan", no_build)
+        code, doc = run_json(
+            capsys, ["alpha-scan", "--family", "cartan", "--m", str(m), "--J", J]
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert "no cubic (cartan) pairing" in doc["error"]["message"]
 
     def test_nan_level_is_library_error(self, capsys):
         code, doc = run_json(
@@ -545,6 +641,7 @@ class TestReportContract:
          ("ISOPAR_SEED", "x7", "5"), ("ISOPAR_SEED", "", "5")],
         ids=["negative-flag", "negative-env", "word-env", "empty-env"],
     )
+    @pytest.mark.usefixtures("fresh_members")
     def test_bad_seed_is_usage_error(self, capsys, monkeypatch, argv, source, env, flag):
         def no_build(*args):
             raise AssertionError("family built before the seed was checked")

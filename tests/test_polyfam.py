@@ -280,25 +280,22 @@ class TestBatchedKernels:
         r = np.linalg.norm(pts, axis=1)
         agree(grad, pointwise[:, 0], fam.g**2 * r ** (2 * fam.g - 2))
         agree(lap, pointwise[:, 1], np.abs(hess.entries).sum(axis=(1, 2)))
-        for k in (2, 3, 4):
-            agree(
-                hidden_rho_residual(fam, pts, k),
-                [hidden_rho_residual(fam, x, k) for x in pts],
-                rho_k(hess, k),
-            )
-        for k in (1, 2, 3):
-            assert np.allclose(
-                delta_k(fam, pts, k), [delta_k(fam, x, k) for x in pts],
-                rtol=1e-13, atol=1e-13,
-            )
+        ks = (2, 3, 4)
+        pointwise = np.array([hidden_rho_residual(fam, x, ks) for x in pts])
+        for i, (k, block) in enumerate(zip(ks, hidden_rho_residual(fam, pts, ks))):
+            agree(block, pointwise[:, i], rho_k(hess, k))
+        ks = (1, 2, 3)
+        pointwise = np.array([delta_k(fam, x, ks) for x in pts])
+        for i, block in enumerate(delta_k(fam, pts, ks)):
+            assert np.allclose(block, pointwise[:, i], rtol=1e-13, atol=1e-13)
 
     def test_single_point_returns_scalars(self):
         fam = family("fkm24")
         x = seeded_points(8, 1, 101)[0]
         assert isinstance(eval_F(fam, x), float)
         assert all(isinstance(v, float) for v in cm_residuals(fam, x))
-        assert isinstance(hidden_rho_residual(fam, x, 2), float)
-        assert isinstance(delta_k(fam, x, 2), float)
+        assert all(isinstance(v, float) for v in hidden_rho_residual(fam, x, (2, 3)))
+        assert all(isinstance(v, float) for v in delta_k(fam, x, (1, 2)))
 
     @pytest.mark.parametrize("shape", [(4, 6), (6, 1), (2, 3, 5), (0,)])
     def test_wrong_shapes_rejected(self, shape):
@@ -311,7 +308,7 @@ class TestBatchedKernels:
         with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
             cm_residuals(family("cartan1"), pts)
         with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
-            hidden_rho_residual(family("cartan1"), pts, 2)
+            hidden_rho_residual(family("cartan1"), pts, (2,))
 
 
 class TestJet:
@@ -419,19 +416,18 @@ class TestDisplayedIdentities:
         for x in seeded_points(5, 25, 59):
             r2 = float(x @ x)
             F = eval_F(fam, x)
-            assert delta_k(fam, x, 1) == pytest.approx(0.0, abs=1e-10)
-            assert delta_k(fam, x, 2) == pytest.approx(-63.0 * r2, rel=1e-10)
-            assert delta_k(fam, x, 3) == pytest.approx(-54.0 * F, rel=1e-9, abs=1e-9)
-            assert delta_k(fam, x, 4) == pytest.approx(972.0 * r2**2, rel=1e-9)
-            assert delta_k(fam, x, 5) == pytest.approx(
-                1944.0 * r2 * F, rel=1e-9, abs=1e-9
-            )
+            d1, d2, d3, d4, d5 = delta_k(fam, x, (1, 2, 3, 4, 5))
+            assert d1 == pytest.approx(0.0, abs=1e-10)
+            assert d2 == pytest.approx(-63.0 * r2, rel=1e-10)
+            assert d3 == pytest.approx(-54.0 * F, rel=1e-9, abs=1e-9)
+            assert d4 == pytest.approx(972.0 * r2**2, rel=1e-9)
+            assert d5 == pytest.approx(1944.0 * r2 * F, rel=1e-9, abs=1e-9)
 
     def test_delta_k_range(self):
         with pytest.raises(ValueError):
-            delta_k(family("cartan1"), np.ones(5), 6)
+            delta_k(family("cartan1"), np.ones(5), (2, 6))
         with pytest.raises(ValueError):
-            delta_k(family("cartan1"), np.ones(5), 0)
+            delta_k(family("cartan1"), np.ones(5), (0,))
 
     @pytest.mark.parametrize("name", ["cartan1", "cartan2", "fkm13", "fkm24"])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -441,19 +437,19 @@ class TestDisplayedIdentities:
             pytest.skip("k = 4 closed form stated for n >= 4 only")
         for x in seeded_points(fam.ambient_dim, 15, 61):
             r = np.linalg.norm(x)
-            res = hidden_rho_residual(fam, x, k)
+            (res,) = hidden_rho_residual(fam, x, (k,))
             assert abs(res) < 1e-8 * max(1.0, r ** (k * (fam.g - 2)))
 
     def test_hidden_power_sum_range(self):
         with pytest.raises(ValueError, match="closed forms"):
-            hidden_rho_residual(family("cartan1"), np.ones(5), 5)
+            hidden_rho_residual(family("cartan1"), np.ones(5), (2, 5))
 
     def test_hidden_power_sum_consistency_direct(self):
         # independent spot check: rho_2 of the Hessian computed two ways
         fam = family("fkm24")
         x = seeded_points(8, 1, 67)[0]
         direct = rho_k(eval_hessian(fam, x), 2)
-        res = hidden_rho_residual(fam, x, 2)
+        (res,) = hidden_rho_residual(fam, x, (2,))
         closed = direct - res
         assert closed == pytest.approx(direct, rel=1e-10)
 

@@ -9,7 +9,7 @@ import pytest
 from isopar import spherelevel
 from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
-from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot
+from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot, profile_of
 from isopar.spherelevel import (
     cotangent_shift,
     frame_at,
@@ -25,7 +25,7 @@ from isopar.spherelevel import (
     rhobar_recurrence_check,
     transnormal_residuals,
 )
-from isopar.symmat import eigensolve
+from isopar.symmat import SymmetricMatrix, eigensolve
 
 _cache = {}
 
@@ -65,20 +65,26 @@ class TestSampling:
 
     def test_regular_points_keep_per_index_streams(self):
         # The sample at index i is the first (i, attempt) draw inside the
-        # bound, whatever the other indices needed.
-        fam = family("cartan1")
-        bound = 0.5
-        pts = regular_sphere_points(fam, 12, 13, f_bound=bound)
-        for i, x in enumerate(pts):
-            for attempt in range(64):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(13, spawn_key=(i, attempt))
-                )
-                v = rng.standard_normal(5)
-                v /= np.linalg.norm(v)
-                if abs(eval_F(fam, v)) <= bound:
-                    break
-            assert np.array_equal(x, v)
+        # bound, whatever the other indices needed, and the block
+        # normalisation of each round equals the per-row one bit for bit.
+        cases = [
+            (family("cartan1"), 12, 13, 0.5),
+            (family("cartan1"), 40, 2024, 0.9),
+            (make_cartan(8), 40, 2025, 0.9),
+            (make_ot(3), 40, 8, 0.9),
+        ]
+        for fam, count, seed, bound in cases:
+            pts = regular_sphere_points(fam, count, seed, f_bound=bound)
+            for i, x in enumerate(pts):
+                for attempt in range(64):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(seed, spawn_key=(i, attempt))
+                    )
+                    v = rng.standard_normal(fam.ambient_dim)
+                    v /= np.linalg.norm(v)
+                    if abs(eval_F(fam, v)) <= bound:
+                        break
+                assert np.array_equal(x, v), (fam, seed, i)
 
     def test_regular_points_one_eval_per_round(self, monkeypatch):
         fam = family("cartan1")
@@ -98,6 +104,54 @@ class TestSampling:
     def test_exhausted_redraws_raise_focal_point_error(self):
         with pytest.raises(FocalPointError, match="focal bands"):
             regular_sphere_points(family("cartan1"), 1, 11, f_bound=-1.0)
+
+
+class TestLazyShape:
+    """The shape operator is derived and gated on first read."""
+
+    def test_transnormal_frame_leaves_shape_unbuilt(self, monkeypatch):
+        fam = family("cartan2")
+        frames = []
+
+        def keep(P, x):
+            frames.append(frame_at(P, x))
+            return frames[-1]
+
+        monkeypatch.setattr(spherelevel, "frame_at", keep)
+        transnormal_residuals(fam, regular_sphere_points(fam, 5, 7))
+        assert len(frames) == 1
+        assert "shape" not in vars(frames[0])
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_shape_on_read_matches_eager_formula(self, name):
+        fam = family(name)
+        frame = frame_at(fam, regular_sphere_points(fam, 6, 53))
+        n = frame.tangent_basis.shape[-2]
+        raw = frame.hessian_in(
+            np.concatenate([frame.tangent_basis, frame.nu[:, None, :]], axis=-2)
+        )
+        eager = SymmetricMatrix(
+            -raw[..., :n, :n] / np.asarray(frame.grad_norm)[:, None, None]
+        )
+        assert np.array_equal(frame.shape.entries, eager.entries)
+        assert "shape" in vars(frame)
+        assert frame.shape is frame.shape
+
+    def test_asymmetric_shape_raises_on_read(self):
+        # The tangent block's asymmetry 5e-9 passes hessian_sph's gate
+        # (entries below 1), and is 5e-6 against entries of 100 once divided
+        # by grad_norm 1e-3, so the shape fails its gate when read.
+        d2f = np.zeros((4, 4))
+        d2f[1, 2], d2f[2, 1] = 0.1, 0.1 + 5e-9
+        eye = np.eye(4)
+        frame = spherelevel.SpherePointFrame(
+            point=eye[0], f=0.0, df=1e-3 * eye[3], d2f=d2f,
+            grad_sph=1e-3 * eye[3], grad_norm=1e-3, nu=eye[3],
+            tangent_basis=eye[1:3], profile=profile_of(family("cartan1")),
+        )
+        assert frame.hessian_sph.order == 3
+        with pytest.raises(ValueError, match="not symmetric"):
+            frame.shape
 
 
 class TestOrthonormalComplement:
