@@ -30,14 +30,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .clifford import (
-    J_BLOCK,
-    J_LEFT,
-    J_RIGHT,
-    TAG_OZEKI_TAKEUCHI,
-    TAG_STANDARD,
-    build_complex_structure,
-)
+from .clifford import J_BLOCK, J_LEFT, J_RIGHT, build_complex_structure
 from .errors import BlowUpError, ConstructionError, IsoparError
 from .hopf import (
     AlphaSample,
@@ -71,11 +64,15 @@ from .riccati import (
     trajectory_table,
 )
 from .spherelevel import (
+    MATCH_TOL,
     frame_at,
     level_project,
     munzner_check,
+    munzner_rhobar,
+    qk_recurrence_check,
     recurrence_table,
     regular_sphere_points,
+    rhobar_recurrence_check,
     transnormal_residuals,
 )
 
@@ -90,11 +87,18 @@ J_CHOICES = {"block": J_BLOCK, "right-i": J_RIGHT, "left-i": J_LEFT}
 TOL_CM = 1e-8
 TOL_HIDDEN = 1e-8
 TOL_WITNESS = 1e-9
-TOL_SPECTRUM = 1e-6
+TOL_RECURRENCE = 1e-12
 TOL_RICCATI_EVOLVE = 1e-8
 TOL_RICCATI_LEMMA = 1e-9
 TOL_RICCATI_CHAIN = 1e-8
 TOL_RICCATI_ROUNDTRIP = 1e-6
+
+# The level grid of the Q_k / rhobar_k recurrences: spectrum's side-file
+# table and the recurrences suite span [-LEVEL_BOUND, LEVEL_BOUND] (inside the
+# |t| < 0.9 the recurrence checks accept) with k <= RECURRENCE_K_MAX.
+LEVEL_BOUND = 0.8
+LEVEL_POINTS = 33
+RECURRENCE_K_MAX = 6
 
 # Samples per kernel call in verify-cm and verify-hidden: large enough to
 # amortize the per-call overhead, small enough that the (block, d, d)
@@ -429,13 +433,9 @@ def cmd_alpha_scan(args, report):
         csv_rows.extend(records)
     report.extra["alpha"] = level_stats
 
-    system = fam.system
-    witnessed = system is not None and (
-        (system.tag == TAG_STANDARD and system.m == 2 and jtag == J_BLOCK)
-        or system.tag == TAG_OZEKI_TAKEUCHI
-    )
-    if witnessed:
-        z_plus, z_minus = witness_points(fam)
+    witnesses = witness_points(ctx)
+    if witnesses is not None:
+        z_plus, z_minus = witnesses
         report.add(
             "reference-point-plus",
             abs(omega_direct(ctx, frame_at(fam, z_plus)) - 128.0),
@@ -576,7 +576,7 @@ def cmd_spectrum(args, report):
         for x in regular_sphere_points(fam, args.samples, report.seed)
     ]
     report.add(
-        "spectrum-match", [c.max_deviation for c in checks], TOL_SPECTRUM,
+        "spectrum-match", [c.max_deviation for c in checks], MATCH_TOL,
         "shape operator eigenvalues vs the cotangent-shift prediction",
     )
     report.add(
@@ -586,8 +586,54 @@ def cmd_spectrum(args, report):
     report.extra["expected_values"] = [float(v) for v in checks[0].expected]
 
     return "recurrence", functools.partial(
-        recurrence_table, fam.g, fam.m1, fam.m2, np.linspace(-0.8, 0.8, 33)
+        recurrence_table, fam.g, fam.m1, fam.m2,
+        np.linspace(-LEVEL_BOUND, LEVEL_BOUND, LEVEL_POINTS), RECURRENCE_K_MAX,
     )
+
+
+# ------------------------------------------------------------- recurrences
+
+
+def cmd_recurrences(args, report):
+    fam = _build_family(args, report)
+    g, m1, m2, k_max = fam.g, fam.m1, fam.m2, RECURRENCE_K_MAX
+    grid = np.linspace(-LEVEL_BOUND, LEVEL_BOUND, args.samples)
+    report.params.update(k_max=k_max, level_bound=LEVEL_BOUND)
+
+    report.add(
+        "qk-recurrence", qk_recurrence_check(g, m1, m2, grid, k_max),
+        TOL_RECURRENCE,
+        "Q_(k+1) vs (g/k) sqrt(1 - t^2) dQ_k/dt - Q_(k-1), complex-step "
+        "derivative, relative to the size of the terms",
+    )
+    rhobar = rhobar_recurrence_check(fam, grid, k_max, report.seed)
+    report.add(
+        "rhobar-recurrence", rhobar["recurrence"], TOL_RECURRENCE,
+        "first-order recurrence in t of the ambient Hessian power sums "
+        "rhobar_k, complex-step derivative, relative to the size of the terms",
+    )
+    # Like riccati's moment rows, the path agreement is scaled by the largest
+    # power sum it compares.
+    scale = float(np.max(np.abs([
+        munzner_rhobar(g, m1, m2, t, k) for t in map(float, grid)
+        for k in range(k_max + 1)
+    ])))
+    report.add(
+        "rhobar-path-agreement", rhobar["path-agreement"] / scale, TOL_RECURRENCE,
+        "rhobar_k from the curvature prediction vs rho_k of the Hessian at a "
+        "point projected to each level, scaled by the largest |rhobar_k|",
+    )
+    report.add(
+        "rhobar-seed-zero", rhobar["seed-zero"], TOL_RECURRENCE,
+        "rhobar_0 vs n + 2",
+    )
+    report.add(
+        "rhobar-seed-one",
+        rhobar["seed-one"] / max(1.0, abs(0.5 * g * g * (m2 - m1))),
+        TOL_RECURRENCE,
+        "rhobar_1 vs (g^2/2)(m2 - m1), scaled by max(1, |(g^2/2)(m2 - m1)|)",
+    )
+    report.extra["rhobar_scale"] = scale
 
 
 # ------------------------------------------------------------------ parser
@@ -694,6 +740,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.0)
     p.add_argument("--csv", help="prefix for CSV side files")
     p.set_defaults(func=cmd_spectrum)
+
+    p = subs.add_parser(
+        "recurrences",
+        help="level recurrences of the power sums Q_k and rhobar_k",
+        epilog="--samples counts levels, evenly spaced on "
+        f"[-{LEVEL_BOUND}, {LEVEL_BOUND}], with k <= {RECURRENCE_K_MAX}. "
+        "The table of Q_k and rhobar_k on the default grid is spectrum's "
+        "--csv side file.",
+    )
+    _add_family_flags(p)
+    _add_common_flags(p, samples_default=LEVEL_POINTS)
+    p.set_defaults(func=cmd_recurrences)
 
     return parser
 

@@ -175,39 +175,33 @@ def alpha_at(ctx: HopfContext, frame: SpherePointFrame) -> AlphaPair:
 
 @dataclass(frozen=True)
 class HopfBlocks:
-    """Shape operator in the frame (e_1..e_(n-2), Jnu, Jx) and the residuals
-    of its forced structure: S Jx = -Jnu, zero (Jx, Jx) corner, zero
-    couplings between Jx and the horizontal block."""
+    """Shape operator compressed to the tangent complement of Jx, and the
+    residual of its forced link S Jx = -Jnu (which carries the zero (Jx, Jx)
+    corner and the zero couplings between Jx and the rest)."""
 
-    s_full: SymmetricMatrix
     s_tilde: SymmetricMatrix
     sjx_residual: float
-    corner_residual: float
-    offblock_residual: float
-    link_residual: float
+
+
+def _fibre_coords(ctx: HopfContext, frame: SpherePointFrame, vector) -> np.ndarray:
+    """Coordinates of J vector in the frame's tangent basis."""
+    return frame.tangent_basis @ (ctx.J.matrix @ vector)
 
 
 def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> HopfBlocks:
-    jm = ctx.J.matrix
-    jx = jm @ frame.point
-    jnu = jm @ frame.nu
-    if abs(float(jx @ frame.nu)) > 1e-8:
+    """S~ = B S B^T with B the tangent complement of v = Jx, and
+    |S v + w| with w = Jnu, both in the frame's tangent basis."""
+    if abs(float((ctx.J.matrix @ frame.point) @ frame.nu)) > 1e-8:
         raise InvarianceError(
             "J x is not tangent to the level set; frame is degenerate here"
         )
-    rest = orthonormal_complement(np.vstack([frame.point, frame.nu, jnu, jx]))
-    s = -frame.hessian_in(np.vstack([rest, jnu, jx])) / frame.grad_norm
-    n = s.shape[0]
-    expected_col = np.zeros(n)
-    expected_col[n - 2] = -1.0  # S Jx = -Jnu
-    sjx = float(np.linalg.norm(s[:, n - 1] - expected_col))
+    v = _fibre_coords(ctx, frame, frame.point)
+    w = _fibre_coords(ctx, frame, frame.nu)
+    s = frame.shape.entries
+    rest = orthonormal_complement(v[None, :])
     return HopfBlocks(
-        s_full=SymmetricMatrix(s),
-        s_tilde=SymmetricMatrix(s[: n - 1, : n - 1]),
-        sjx_residual=sjx,
-        corner_residual=abs(float(s[n - 1, n - 1])),
-        offblock_residual=float(np.max(np.abs(s[: n - 2, n - 1]))),
-        link_residual=abs(float(s[n - 2, n - 1]) + 1.0),
+        s_tilde=SymmetricMatrix(rest @ s @ rest.T),
+        sjx_residual=float(np.linalg.norm(s @ v + w)),
     )
 
 
@@ -221,13 +215,11 @@ class HopfDecomposition:
     l counts weights above CLUSTER_TOL.
     """
 
-    point: np.ndarray
     lambdas: tuple
     phi_sq: tuple
     phi_sq_moment: tuple
     route_difference: float
     l: int
-    alpha: float
     moment_residuals: tuple  # deviations of (sum phi^2, sum lam phi^2 - 0, ...)
 
 
@@ -238,7 +230,7 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
         raise SpectralGapError(
             f"expected {ctx.g} curvature clusters, found {len(spectrum.grouping)}"
         )
-    coords = vecs.T @ (frame.tangent_basis @ (ctx.J.matrix @ frame.point))
+    coords = vecs.T @ _fibre_coords(ctx, frame, frame.point)
     bounds = np.cumsum((0,) + spectrum.multiplicities())
     lambdas = spectrum.distinct()
     phi_sq = tuple(
@@ -259,27 +251,26 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
         abs(float(lam**3 @ phi) - alpha),
     )
     return HopfDecomposition(
-        point=frame.point,
         lambdas=lambdas,
         phi_sq=phi_sq,
         phi_sq_moment=phi_m,
         route_difference=float(diff),
         l=int(sum(1 for p in phi_sq if p > CLUSTER_TOL)),
-        alpha=float(alpha),
         moment_residuals=moment_residuals,
     )
 
 
-def witness_points(P: IsoPolynomial):
+def witness_points(ctx: HopfContext):
     """The two reference points on F = 0 where Omega takes the values +128
-    and -128 (quartic families with a known closed form only)."""
-    if P.family != "fkm" or P.system is None:
-        raise UnsupportedPairError("reference points exist for the quartic family")
-    dim = P.ambient_dim
-    if P.system.tag == TAG_STANDARD and P.system.m == 2:
+    and -128, or None for a (system, J) pair with none recorded. Recorded:
+    the m = 2 standard system with the block structure, and the
+    Ozeki-Takeuchi system with either quaternion structure."""
+    system = ctx.P.system
+    if system is None:
+        return None
+    dim = ctx.P.ambient_dim
+    if system.tag == TAG_STANDARD and system.m == 2 and ctx.J.tag == J_BLOCK:
         r = dim // 2
-        if r % 2:
-            raise UnsupportedPairError("reference points need an even block size r")
         half = r // 2
         z_plus = np.zeros(dim)
         z_plus[0] = 1.0 / np.sqrt(2.0)
@@ -290,7 +281,7 @@ def witness_points(P: IsoPolynomial):
         z_minus[r + half] = 0.5
         z_minus[r + half + 1] = 0.5
         return z_plus, z_minus
-    if P.system.tag == TAG_OZEKI_TAKEUCHI:
+    if system.tag == TAG_OZEKI_TAKEUCHI:
         half = dim // 2
         c_plus = 0.5 * np.sqrt(2.0 + np.sqrt(2.0))
         c_minus = 0.5 * np.sqrt(2.0 - np.sqrt(2.0))
@@ -302,9 +293,7 @@ def witness_points(P: IsoPolynomial):
         z_minus[half] = c_plus / np.sqrt(2.0)
         z_minus[half + 4] = c_minus
         return z_plus, z_minus
-    raise UnsupportedPairError(
-        f"no reference points recorded for ({P.system.tag}, m = {P.system.m})"
-    )
+    return None
 
 
 @dataclass(frozen=True)

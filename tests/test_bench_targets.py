@@ -1,9 +1,12 @@
-"""The benchmark's span targets must resolve against the package.
+"""The benchmark's span targets must resolve against the package, and its
+copy of the README commands must match the README.
 
 bench/spans.py wraps isopar functions and methods by name; a target that no
 longer exists makes every traced benchmark run fail. Module-level names must
 be attributes of their module; dotted names must be defined in the class body
 itself, because the recorder reads them from the class __dict__.
+bench/workloads.py copies the README's "Command line" block verbatim as the
+readme-cold workload.
 """
 
 import importlib
@@ -12,14 +15,20 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return load_bench("spans").TARGETS
 
 
 @pytest.mark.parametrize(
@@ -32,3 +41,12 @@ def test_span_target_resolves(module_name, attr):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_readme_workload_is_the_readme_block():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    commands = [
+        " ".join(line.split("#", 1)[0].split()[1:]) for line in block.splitlines()
+    ]
+    assert load_bench("workloads").README == commands

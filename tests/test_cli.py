@@ -601,6 +601,81 @@ class TestSpectrum:
         assert code == 2
 
 
+RECURRENCE_FAMILIES = [
+    ["--family", "cartan", "--m", "1"],
+    ["--family", "cartan", "--m", "2"],
+    ["--family", "cartan", "--m", "4"],
+    ["--family", "cartan", "--m", "8"],
+    ["--family", "fkm", "--m", "1", "--r", "3"],
+    ["--family", "fkm", "--m", "1", "--r", "4"],
+    ["--family", "fkm", "--m", "2", "--r", "4"],
+    ["--family", "fkm", "--m", "2", "--r", "8"],
+    ["--family", "fkm", "--m", "3", "--r", "8"],
+    ["--family", "fkm", "--m", "1", "--r", "64"],
+    ["--family", "ot", "--r", "1"],
+    ["--family", "ot", "--r", "2"],
+    ["--family", "ot", "--r", "3"],
+]
+
+
+class TestRecurrences:
+    @pytest.mark.parametrize("family", RECURRENCE_FAMILIES, ids=shlex.join)
+    def test_family_passes(self, capsys, family):
+        code, doc = run_json(capsys, ["recurrences", *family])
+        assert code == 0
+        assert_report_shape(doc, "recurrences")
+        assert doc["samples"] == 33
+        assert [row["name"] for row in doc["details"]] == [
+            "qk-recurrence", "rhobar-recurrence", "rhobar-path-agreement",
+            "rhobar-seed-zero", "rhobar-seed-one",
+        ]
+        assert all(row["tolerance"] == 1e-12 for row in doc["details"])
+
+    @pytest.mark.parametrize(
+        "family,m,r", [("cartan", 2, None), ("fkm", 1, 64), ("ot", None, 2)]
+    )
+    def test_rows_equal_library_calls(self, capsys, family, m, r):
+        argv = ["recurrences", "--family", family, "--samples", "9", "--seed", "7"]
+        argv += ["--m", str(m)] if m is not None else []
+        argv += ["--r", str(r)] if r is not None else []
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        fam = cli._member(family, m, r)
+        g, m1, m2 = fam.g, fam.m1, fam.m2
+        grid = np.linspace(-0.8, 0.8, 9)
+        rhobar = spherelevel.rhobar_recurrence_check(fam, grid, 6, 7)
+        scale = max(
+            abs(spherelevel.munzner_rhobar(g, m1, m2, float(t), k))
+            for t in grid for k in range(7)
+        )
+        expected = [
+            spherelevel.qk_recurrence_check(g, m1, m2, grid, 6),
+            rhobar["recurrence"],
+            rhobar["path-agreement"] / scale,
+            rhobar["seed-zero"],
+            rhobar["seed-one"] / max(1.0, abs(0.5 * g * g * (m2 - m1))),
+        ]
+        assert [row["residual"] for row in doc["details"]] == expected
+        assert doc["rhobar_scale"] == scale
+
+    def test_nan_power_sum_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            spherelevel, "munzner_qk", lambda g, m1, m2, t, k: float("nan")
+        )
+        code, doc = run_json(
+            capsys, ["recurrences", "--family", "cartan", "--m", "1"]
+        )
+        assert code == 1
+        assert doc["pass"] is False
+        assert doc["details"][0]["residual"] == "nan"
+
+    def test_identical_runs_are_byte_identical(self, capsys):
+        argv = ["recurrences", "--family", "ot", "--r", "1", "--seed", "7"]
+        _, first = run(capsys, argv)
+        _, second = run(capsys, argv)
+        assert first == second
+
+
 class TestReportContract:
     def test_identical_runs_are_byte_identical(self, capsys):
         argv = ["verify-cm", "--family", "cartan", "--m", "2",
@@ -631,6 +706,7 @@ class TestReportContract:
             ["verify-hidden", "--family", "fkm", "--m", "1", "--r", "3"],
             ["alpha-scan", "--family", "fkm", "--m", "1", "--r", "3"],
             ["spectrum", "--family", "fkm", "--m", "1", "--r", "3"],
+            ["recurrences", "--family", "fkm", "--m", "1", "--r", "3"],
             ["riccati", "--kappa", "1", "--mu0", "0.4,-0.2"],
         ],
         ids=lambda argv: argv[0],
@@ -678,7 +754,8 @@ class TestReportContract:
         assert doc["error"]["type"] == "ConstructionError"
 
     @pytest.mark.parametrize(
-        "command", ["verify-cm", "verify-hidden", "alpha-scan", "spectrum"]
+        "command",
+        ["verify-cm", "verify-hidden", "alpha-scan", "spectrum", "recurrences"],
     )
     def test_zero_samples_is_usage_error(self, capsys, command):
         # Zero samples would gate nothing and pass vacuously.
