@@ -16,13 +16,14 @@ import numpy as np
 
 from .clifford import ComplexStructure, TAG_OZEKI_TAKEUCHI, TAG_STANDARD, J_BLOCK, J_LEFT, J_RIGHT
 from .errors import InvarianceError, SpectralGapError, UnsupportedPairError
-from .polyfam import IsoPolynomial, eval_F
+from .polyfam import IsoPolynomial, eval_F, point_norm
 from .spherelevel import (
     SpherePointFrame,
     frame_at,
     level_project,
     orthonormal_complement,
     regular_sphere_points,
+    seeded_streams,
 )
 from .symmat import CLUSTER_TOL, Spectrum, SymmetricMatrix, eigh, vandermonde_solve
 
@@ -37,13 +38,14 @@ def s1_invariance_residual(P: IsoPolynomial, J: ComplexStructure, samples=50, se
     if jm.shape != (P.ambient_dim, P.ambient_dim):
         raise ValueError("J has the wrong dimension for this family")
     zs = np.empty((samples, P.ambient_dim))
-    ws = np.empty_like(zs)
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        z = rng.standard_normal(P.ambient_dim)
-        zs[i] = z / np.linalg.norm(z)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        ws[i] = np.cos(theta) * zs[i] + np.sin(theta) * (jm @ zs[i])
+    thetas = np.empty(samples)
+    # pair i reads the stream of SeedSequence(seed, spawn_key=(i,))
+    for i, rng in enumerate(seeded_streams(seed, np.arange(samples)[:, None])):
+        zs[i] = rng.standard_normal(P.ambient_dim)
+        thetas[i] = rng.uniform(0.0, 2.0 * np.pi)
+    zs /= point_norm(zs)[:, None]
+    jz = (jm @ zs[..., None])[..., 0]
+    ws = np.cos(thetas)[:, None] * zs + np.sin(thetas)[:, None] * jz
     # Two eval_F calls over the whole sample; a NaN residual propagates.
     return float(np.max(np.abs(eval_F(P, ws) - eval_F(P, zs)), initial=0.0))
 

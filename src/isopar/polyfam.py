@@ -283,9 +283,16 @@ def point_norm(x):
     return scalar_or_stack(np.sqrt(_dot(x, x)))
 
 
+def _apply_stack(stack, x):
+    """stack . x for a (k, d, d) stack: the stack read as one (k d, d)
+    matrix, so each sample is one gemv, shaped (..., k, d)."""
+    k, d, _ = stack.shape
+    return _apply(stack.reshape(k * d, d), x).reshape(x.shape[:-1] + (k, d))
+
+
 def _fkm_parts(P: IsoPolynomial, x):
     """|x|^2, the generator images A_p x (..., p, d) and <A_p x, x> (..., p)."""
-    az = _apply(P._generators, x[..., None, :])
+    az = _apply_stack(P._generators, x)
     return _dot(x, x), az, _apply(az, x)
 
 
@@ -294,7 +301,7 @@ def _contract(P: IsoPolynomial, x):
     quartic's _fkm_parts, or the cubic's T.x = D^2F."""
     if P.family == "fkm":
         return _fkm_parts(P, x)
-    return _apply(P._tensor, x[..., None, :])
+    return _apply_stack(P._tensor, x)
 
 
 def _value(P: IsoPolynomial, x, parts):
@@ -318,11 +325,19 @@ def _hessian(P: IsoPolynomial, x, parts) -> SymmetricMatrix:
     if P.family == "fkm":
         z2, az, q = parts
         dim = P.ambient_dim
-        h = z2[..., None, None] * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :])
+        # 4 (|x|^2 I + 2 x x^T - (2 sum q_p A_p + (4 az^T) az)), built in
+        # place with the same operations in the same order
+        h = z2[..., None, None] * np.eye(dim)
+        xx = x[..., :, None] * x[..., None, :]
+        xx *= 2.0
+        h += xx
         gens = P._generators.reshape(len(P._generators), dim * dim)
         qa = (q[..., None, :] @ gens).reshape(x.shape[:-1] + (dim, dim))
-        h -= 2.0 * qa + 4.0 * np.swapaxes(az, -2, -1) @ az
-        return SymmetricMatrix(4.0 * h)
+        qa *= 2.0
+        qa += 4.0 * np.swapaxes(az, -2, -1) @ az
+        h -= qa
+        h *= 4.0
+        return SymmetricMatrix(h)
     return SymmetricMatrix(parts)
 
 
@@ -477,5 +492,6 @@ def hidden_rho_residual(P: IsoPolynomial, x, ks):
     r = _nonzero_radius(x)
     F, _, hess = eval_jet(P, x)
     return tuple(
-        scalar_or_stack(rho_k(hess, k) - _rho_closed(P, F, r, k)) for k in ks
+        scalar_or_stack(rho - _rho_closed(P, F, r, k))
+        for k, rho in zip(ks, rho_k(hess, ks))
     )

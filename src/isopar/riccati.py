@@ -177,26 +177,40 @@ def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
     arithmetic of integrating that time alone. kappa and h are laid out at
     the full shape once, so nothing in the loop broadcasts, and 0.5 h and
     h/6 are formed once: a stage multiplies them first, as 0.5 * h * k
-    does, so each element sees the same IEEE operations in the same order.
+    does. The stages write into six arrays allocated once (positional out),
+    computing mu + h/6 (k1 + 2 k2 + 2 k3 + k4) with the operations of that
+    expression in its order, so each element sees the same IEEE operations
+    in the same order.
     """
     t = np.asarray(t, dtype=float)
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     shape = t.shape + (len(fam.mu0),)
-    mu = np.broadcast_to(np.array(fam.mu0), shape)
+    mu = np.broadcast_to(np.array(fam.mu0), shape).copy()
     kappas = np.broadcast_to(np.array(fam.kappas), shape).copy()
     h = np.broadcast_to((t / steps)[..., None], shape).copy()
     half_h, sixth_h = 0.5 * h, h / 6.0
-    rhs = lambda m: m * m + kappas
+    k1, k2, k3, k4, y = (np.empty(shape) for _ in range(5))
+    mul, add = np.multiply, np.add
     for _ in range(steps):
-        k1 = rhs(mu)
-        k2 = rhs(mu + half_h * k1)
-        k3 = rhs(mu + half_h * k2)
-        k4 = rhs(mu + h * k3)
-        mu = mu + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k = y * y + kappa at y = mu, mu + h/2 k1, mu + h/2 k2, mu + h k3
+        mul(mu, mu, k1)
+        add(k1, kappas, k1)
+        for step, k, out in ((half_h, k1, k2), (half_h, k2, k3), (h, k3, k4)):
+            mul(step, k, y)
+            add(mu, y, y)
+            mul(y, y, out)
+            add(out, kappas, out)
+        mul(2.0, k2, k2)
+        add(k1, k2, k1)
+        mul(2.0, k3, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        mul(sixth_h, k1, k1)
+        add(mu, k1, mu)
         # One reduction gates the step (initial: an empty grid passes);
         # max carries a NaN through, so the comparison fails on it too.
-        if not np.abs(mu).max(initial=0.0) <= OVERFLOW_LIMIT:
+        if not np.abs(mu, y).max(initial=0.0) <= OVERFLOW_LIMIT:
             bad = ~(np.abs(mu) <= OVERFLOW_LIMIT).all(axis=-1)
             raise IntegrationError(
                 f"integration overflowed on the way to t = {t[bad].flat[0]}"

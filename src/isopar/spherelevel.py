@@ -9,6 +9,7 @@ normal great circle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -32,20 +33,136 @@ MATCH_TOL = 1e-6
 PROJECTION_TOL = 1e-10  # level and path gates of level_project
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
+# the mixing multipliers and the 32-bit word mask.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_chain(init, mult, count):
+    """The first count + 1 values of hash_const *= mult from init, mod 2^32."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of a uint32 array (or int) with the hash
+    constant before (xor) and after (mult) its multiplier step."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+# generate_state(4, uint64) reads the pool cyclically into 8 words.
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
+_STATE_XOR = np.array(_STATE_CHAIN[:-1], dtype=np.uint64)
+_STATE_MULT = np.array(_STATE_CHAIN[1:], dtype=np.uint64)
+
+
+def _seed_pool(seed: int):
+    """SeedSequence(seed, spawn_key=key)'s entropy pool before the first key
+    word is mixed in, as Python ints, and the hash constant reached there.
+    The seed's words are zero-padded to the pool size (numpy pads whenever
+    a spawn key is given; for an empty key the pool reads zeros the same)."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    # the first two phases hash 16 times, each later seed word 4 times
+    chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(words))
+    steps = iter(zip(chain, chain[1:]))
+
+    def hashmix(value):
+        return _hashmix(value, *next(steps))
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, chain[-1]
+
+
+class _SeedState:
+    """One stream's generate_state(4, uint64), computed ahead, so PCG64
+    seeds itself from it exactly as from the SeedSequence. seeded_streams
+    registers it as a numpy ISeedSequence on use, so importing this module
+    does not import numpy.random, which commands that draw no samples
+    never load."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the PCG64 seed state (4 uint64 words) is held")
+        return self.words
+
+
+def seeded_streams(seed: int, keys):
+    """One Generator per row of keys, (K, L) integers in [0, 2^32), in row
+    order: the stream of np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=key)) bit for bit.
+
+    SeedSequence's mixing of the key words and its generate_state(4, uint64)
+    run for every key at once as uint32 array arithmetic (held in uint64 and
+    masked); the seed's part of the pool is shared and hashed once. The
+    Generators are built as the returned iterator is read, so one at a
+    time is alive in a loop over it."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    keys = np.asarray(keys)
+    if keys.ndim != 2 or keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be a (K, L) integer array, got {keys!r}")
+    if not ((keys >= 0) & (keys <= _MASK32)).all():
+        raise ValueError("stream key entries must lie in [0, 2^32)")
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    pool, hash_const = _seed_pool(seed)
+    pool = np.tile(np.array(pool, dtype=np.uint64), (len(keys), 1))
+    for column in keys.T.astype(np.uint64):
+        # each key word is hashed once per pool word, the constant moving on
+        chain = _hash_chain(hash_const, _MULT_A, _POOL_SIZE)
+        hash_const = chain[-1]
+        hashed = _hashmix(
+            column[:, None],
+            np.array(chain[:-1], dtype=np.uint64),
+            np.array(chain[1:], dtype=np.uint64),
+        )
+        pool = _mix(pool, hashed)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words)
+
+
 def regular_sphere_points(P: IsoPolynomial, count: int, seed: int, f_bound=0.9):
     """Unit-sphere samples with |F| <= f_bound, redrawing per-index substreams
     (i, attempt) so the result is reproducible and independent of rejection
-    counts. Each attempt round normalises and gates every pending index with
-    one point_norm and one eval_F."""
+    counts. Each attempt round seeds every pending index's stream with one
+    seeded_streams call, then normalises and gates the round with one
+    point_norm and one eval_F."""
     pts = np.empty((count, P.ambient_dim))
     pending = np.arange(count)
     for attempt in range(64):
         if not pending.size:
             return pts
-        for i in pending:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(int(i), attempt))
-            )
+        keys = np.stack([pending, np.full_like(pending, attempt)], axis=1)
+        for i, rng in zip(pending, seeded_streams(seed, keys)):
             pts[i] = rng.standard_normal(P.ambient_dim)
         rows = pts[pending]
         rows /= point_norm(rows)[:, None]
@@ -328,7 +445,8 @@ def rhobar_recurrence_check(
     for t in t_samples:
         t = float(t)
         hess = eval_hessian(P, level_project(P, x0, t))
-        agree += [rb(t, k) - rho_k(hess, k) for k in range(0, k_max + 1)]
+        ks = range(0, k_max + 1)
+        agree += [rb(t, k) - rho for k, rho in zip(ks, rho_k(hess, ks))]
         seed0.append(rb(t, 0) - (n + 2.0))
         seed1.append(rb(t, 1) - 0.5 * g * g * (m2 - m1))
         for k in range(1, k_max):

@@ -38,9 +38,16 @@ class SymmetricMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        at = np.swapaxes(a, -2, -1)
-        skew = np.abs(a - at).max(axis=(-2, -1))
-        bad = skew > 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        # One contiguous copy of a^T serves a - a^T and a^T + a (reading the
+        # strided transpose is the slow part). a - a^T is exactly
+        # antisymmetric, so its max is its largest |entry|, as a NaN entry
+        # carries through both; its buffer then takes |a| for the scale.
+        axes = (-2, -1)
+        sym = np.swapaxes(a, -2, -1).copy()
+        diff = a - sym
+        skew = diff.max(axis=axes)
+        scale = np.abs(a, out=diff).max(axis=axes)
+        bad = skew > 1e-8 * np.maximum(1.0, scale)
         if bad.any():
             i = int(np.argmax(bad))
             where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
@@ -48,7 +55,8 @@ class SymmetricMatrix:
                 f"matrix is not symmetric: max asymmetry "
                 f"{np.ravel(skew)[i]:.3e}{where}"
             )
-        sym = (a + at) / 2.0
+        sym += a
+        sym /= 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
@@ -169,18 +177,44 @@ def sigma_k_minor_sum(M: SymmetricMatrix, k: int) -> float:
     return total
 
 
-def rho_k(M: SymmetricMatrix, k: int):
-    """Power sum of the eigenvalues, tr(M^k); rho_0 = order. One value per
-    matrix of a stack; any non-finite value raises."""
-    if k < 0:
-        raise ValueError(f"k = {k} must be nonnegative")
-    stack = M.entries.shape[:-2]
-    if k == 0:
-        return scalar_or_stack(np.full(stack, float(M.order)))
-    value = np.trace(np.linalg.matrix_power(M.entries, k), axis1=-2, axis2=-1)
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"rho_{k} overflowed to a non-finite value")
-    return scalar_or_stack(value)
+def rho_k(M: SymmetricMatrix, ks):
+    """Power sums of the eigenvalues, tr(M^k), for every k in ks; rho_0 =
+    order. A tuple with one entry per k, each a float or one value per
+    matrix of a stack; any non-finite value raises.
+
+    Each M^k is the product np.linalg.matrix_power(M, k) forms, bit for bit,
+    but every k reads one ladder of squares M^(2^j): for k <= 6, M^2 and
+    M^4 once, then M^2 M, M M^4 and M^2 M^4."""
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"k = {k} must be nonnegative")
+    squares = [M.entries]
+
+    def square(j):
+        while len(squares) <= j:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[j]
+
+    sums = []
+    for k in ks:
+        if k == 0:
+            order = np.full(M.entries.shape[:-2], float(M.order))
+            sums.append(scalar_or_stack(order))
+            continue
+        if k == 3:
+            power = square(1) @ M.entries  # matrix_power's short-cut (M M) M
+        else:
+            # matrix_power's binary decomposition, low bit first
+            power = None
+            for j in range(k.bit_length()):
+                if k >> j & 1:
+                    power = square(j) if power is None else power @ square(j)
+        value = np.trace(power, axis1=-2, axis2=-1)
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"rho_{k} overflowed to a non-finite value")
+        sums.append(scalar_or_stack(value))
+    return tuple(sums)
 
 
 def newton_sigma_from_rho(rho, n: int):

@@ -98,6 +98,27 @@ class TestInvariance:
         assert calls == [(20, 8), (20, 8)]
         assert res == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("seed", [0, 7, 911, 2**40 + 5])
+    def test_pairs_keep_per_index_streams(self, monkeypatch, seed):
+        # pair i draws z, then theta, from SeedSequence(seed, spawn_key=(i,));
+        # both blocks equal the per-pair construction bit for bit
+        fam = make_fkm(2, 4)
+        J = build_complex_structure(J_RIGHT, 8)
+        zs, ws = [], []
+        for i in range(30):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            z = rng.standard_normal(8)
+            z = z / np.linalg.norm(z)
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            zs.append(z)
+            ws.append(np.cos(theta) * z + np.sin(theta) * (J.matrix @ z))
+        blocks = []
+        monkeypatch.setattr(
+            hopf, "eval_F", lambda P, x: (blocks.append(x), eval_F(P, x))[1]
+        )
+        s1_invariance_residual(fam, J, samples=30, seed=seed)
+        assert np.array_equal(blocks[0], ws) and np.array_equal(blocks[1], zs)
+
     def test_nan_residual_rejected(self, monkeypatch):
         monkeypatch.setattr(hopf, "eval_F", lambda P, x: np.full(len(x), np.nan))
         with pytest.raises(InvarianceError):

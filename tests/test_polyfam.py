@@ -247,6 +247,21 @@ class TestBatchedKernels:
     @pytest.mark.parametrize(
         "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
     )
+    def test_flat_contraction_matches_broadcast(self, name):
+        # the (k d, d) view of the tensor or generator stack gives exactly
+        # the per-slice broadcast product, at one point and in blocks
+        fam = family(name)
+        stack = fam._tensor if fam.family == "cartan" else fam._generators
+        for count in (None, 1, 3, 16):
+            pts = seeded_points(fam.ambient_dim, count or 1, 97 + (count or 0))
+            x = pts[0] if count is None else pts
+            parts = polyfam._contract(fam, x)
+            flat = parts if fam.family == "cartan" else parts[1]
+            assert np.array_equal(flat, (stack @ x[..., None, :, None])[..., 0])
+
+    @pytest.mark.parametrize(
+        "name", sorted(FAMILY_BUILDERS) + sorted(ORACLE_ONLY_BUILDERS)
+    )
     def test_block_closed_vs_monomial(self, name):
         fam = family(name)
         pts = seeded_points(fam.ambient_dim, 12, 89)
@@ -282,8 +297,9 @@ class TestBatchedKernels:
         agree(lap, pointwise[:, 1], np.abs(hess.entries).sum(axis=(1, 2)))
         ks = (2, 3, 4)
         pointwise = np.array([hidden_rho_residual(fam, x, ks) for x in pts])
-        for i, (k, block) in enumerate(zip(ks, hidden_rho_residual(fam, pts, ks))):
-            agree(block, pointwise[:, i], rho_k(hess, k))
+        blocks = hidden_rho_residual(fam, pts, ks)
+        for i, (block, rho) in enumerate(zip(blocks, rho_k(hess, ks))):
+            agree(block, pointwise[:, i], rho)
         ks = (1, 2, 3)
         pointwise = np.array([delta_k(fam, x, ks) for x in pts])
         for i, block in enumerate(delta_k(fam, pts, ks)):
@@ -448,7 +464,7 @@ class TestDisplayedIdentities:
         # independent spot check: rho_2 of the Hessian computed two ways
         fam = family("fkm24")
         x = seeded_points(8, 1, 67)[0]
-        direct = rho_k(eval_hessian(fam, x), 2)
+        (direct,) = rho_k(eval_hessian(fam, x), (2,))
         (res,) = hidden_rho_residual(fam, x, (2,))
         closed = direct - res
         assert closed == pytest.approx(direct, rel=1e-10)

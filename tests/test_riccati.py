@@ -254,6 +254,28 @@ class TestClosedForms:
             ["positive", "flat-0", "flat-1", "negative-1", "negative+0", "negative+1"]
         )
 
+    @pytest.mark.parametrize("steps", [1, 7, 300])
+    def test_rk4_buffers_match_the_expression_form(self, steps):
+        # The oracle is RK4 written as expressions, one fresh array per
+        # operation, with h/2 and h/6 formed first: bit for bit.
+        fam = rc.riccati_family(
+            rc.rank_one(1.0, 4.0, 3, 7), (0.9, -0.3, 0.25, 1.1, -0.7, 0.5, 0.05)
+        )
+        grid = clipped_times(fam, -0.5, 0.5, 63).reshape(9, 7)
+        shape = grid.shape + (7,)
+        mu = np.broadcast_to(np.array(fam.mu0), shape)
+        kappas = np.broadcast_to(np.array(fam.kappas), shape)
+        h = np.broadcast_to((grid / steps)[..., None], shape)
+        half_h, sixth_h = 0.5 * h, h / 6.0
+        rhs = lambda m: m * m + kappas
+        for _ in range(steps):
+            k1 = rhs(mu)
+            k2 = rhs(mu + half_h * k1)
+            k3 = rhs(mu + half_h * k2)
+            k4 = rhs(mu + h * k3)
+            mu = mu + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rc.evolve_numeric(fam, grid, steps), mu)
+
     def test_rk4_overflow_past_pole(self):
         fam = rc.riccati_family(rc.space_form(0.0, 1), (2.0,))
         with pytest.raises(IntegrationError):

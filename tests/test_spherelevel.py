@@ -23,6 +23,7 @@ from isopar.spherelevel import (
     recurrence_table,
     regular_sphere_points,
     rhobar_recurrence_check,
+    seeded_streams,
     transnormal_residuals,
 )
 from isopar.symmat import SymmetricMatrix, eigensolve
@@ -72,6 +73,10 @@ class TestSampling:
             (family("cartan1"), 40, 2024, 0.9),
             (make_cartan(8), 40, 2025, 0.9),
             (make_ot(3), 40, 8, 0.9),
+            (family("fkm24"), 30, 2**40 + 5, 0.3),
+            (family("ot1"), 25, 0, 0.2),
+            (family("cartan2"), 30, 2**32, 0.7),
+            (family("cartan1"), 9, 2**200 + 9, 0.3),
         ]
         for fam, count, seed, bound in cases:
             pts = regular_sphere_points(fam, count, seed, f_bound=bound)
@@ -104,6 +109,58 @@ class TestSampling:
     def test_exhausted_redraws_raise_focal_point_error(self):
         with pytest.raises(FocalPointError, match="focal bands"):
             regular_sphere_points(family("cartan1"), 1, 11, f_bound=-1.0)
+
+
+# Seeds across the word boundaries of SeedSequence's entropy (one word, two,
+# three, seven) and keys up to the largest 32-bit word.
+STREAM_SEEDS = [0, 1, 7, 2024, 2025, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3, 2**200 + 9]
+STREAM_KEYS = [
+    [(0, 0), (1, 0), (39, 5), (2**31, 1), (2**32 - 1, 63), (123456789, 17)],
+    [(0,), (1,), (49,), (2**32 - 1,)],
+    [(3, 4, 5)],
+    [()],
+]
+
+
+class TestSeededStreams:
+    """seeded_streams rebuilds numpy's per-key SeedSequence streams."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_streams_match_seed_sequence(self, seed):
+        for keys in STREAM_KEYS:
+            streams = list(seeded_streams(seed, np.array(keys, dtype=np.int64)))
+            assert len(streams) == len(keys)
+            for key, rng in zip(keys, streams):
+                oracle = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=key)
+                )
+                for draw in (
+                    lambda g: g.standard_normal(7),
+                    lambda g: g.uniform(0.0, 2.0 * np.pi, 3),
+                ):
+                    assert np.array_equal(draw(rng), draw(oracle)), (seed, key)
+
+    def test_out_of_range_keys_and_seeds_raise(self):
+        for keys in ([(2**32, 0)], [(0, 2**32)], [(-1, 0)], [(2**40,)]):
+            with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+                seeded_streams(7, np.array(keys, dtype=np.int64))
+        with pytest.raises(ValueError, match="nonnegative"):
+            seeded_streams(-1, np.zeros((1, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="integer"):
+            seeded_streams(7, np.zeros((1, 2)))
+
+    def test_round_seeds_every_pending_index_at_once(self, monkeypatch):
+        calls = []
+
+        def counted(seed, keys):
+            calls.append(np.array(keys))
+            return seeded_streams(seed, keys)
+
+        monkeypatch.setattr(spherelevel, "seeded_streams", counted)
+        regular_sphere_points(family("cartan1"), 20, 13, f_bound=0.5)
+        assert calls[0].tolist() == [[i, 0] for i in range(20)]
+        for attempt, keys in enumerate(calls):
+            assert (keys[:, 1] == attempt).all()
 
 
 class TestLazyShape:

@@ -50,6 +50,41 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             SymmetricMatrix(np.array([[1.0, 2.0], [2.5, 3.0]]))
 
+    def test_asymmetry_message(self):
+        # the gate names the largest |a - a^T| entry, as abs would
+        a = random_symmetric(5, 7).entries.copy()
+        a[3, 1] -= 4.5e-3
+        a[0, 2] += 2.25e-3
+        skew = np.abs(a - a.T).max()
+        with pytest.raises(ValueError) as err:
+            SymmetricMatrix(a)
+        assert str(err.value) == f"matrix is not symmetric: max asymmetry {skew:.3e}"
+        stack = random_stack(3, 5, 8)
+        stack[2, 4, 0] += 3e-4
+        skew = np.abs(stack[2] - stack[2].T).max()
+        with pytest.raises(ValueError) as err:
+            SymmetricMatrix(stack)
+        assert str(err.value) == (
+            f"matrix is not symmetric: max asymmetry {skew:.3e} "
+            "(matrix 2 of the stack)"
+        )
+
+    def test_nan_entry_passes_the_gate_as_before(self):
+        # a NaN asymmetry and a NaN scale compare false, so the gate lets a
+        # NaN member through (the power sums and eigensolves reject it), and
+        # still judges the other members of a stack
+        a = np.array([[1.0, np.nan], [2.0, 3.0]])
+        entries = SymmetricMatrix(a).entries
+        assert np.array_equal(entries, (a + a.T) / 2.0, equal_nan=True)
+        stack = random_stack(3, 4, 9)
+        stack[0, 1, 1] = np.nan
+        stack[0, 0, 3] += 1.0
+        m = SymmetricMatrix(stack)
+        assert np.isnan(m.entries[0, 1, 1])
+        stack[1, 2, 0] += 1.0
+        with pytest.raises(ValueError, match="matrix 1 of the stack"):
+            SymmetricMatrix(stack)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SymmetricMatrix(np.zeros((2, 3)))
@@ -109,17 +144,34 @@ class TestSigmaRho:
 
     def test_rho_edges(self):
         m = random_symmetric(4, seed=4)
-        assert rho_k(m, 0) == 4.0
-        assert abs(rho_k(m, 1) - m.trace()) < 1e-12
-        assert abs(rho_k(m, 2) - np.sum(m.entries * m.entries)) < 1e-10
+        rho0, rho1, rho2 = rho_k(m, (0, 1, 2))
+        assert rho0 == 4.0
+        assert abs(rho1 - m.trace()) < 1e-12
+        assert abs(rho2 - np.sum(m.entries * m.entries)) < 1e-10
         with pytest.raises(ValueError):
-            rho_k(m, -1)
+            rho_k(m, (2, -1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_ladder_matches_matrix_power(self, n):
+        # every k <= 6, in any order, bit for bit against matrix_power, for
+        # one matrix and for a stack
+        stack = random_stack(4, n, 30 + n)
+        for entries in (stack[0], stack):
+            m = SymmetricMatrix(entries)
+            for ks in ((0, 1, 2, 3, 4, 5, 6), (6, 3), (4, 2, 5), (3,)):
+                for k, rho in zip(ks, rho_k(m, ks)):
+                    power = np.linalg.matrix_power(m.entries, k)
+                    expected = np.trace(power, axis1=-2, axis2=-1)
+                    if k == 0:
+                        expected = np.full(entries.shape[:-2], float(n))
+                    assert np.array_equal(rho, expected), (n, ks, k)
+                    assert np.shape(rho) == entries.shape[:-2]
 
     def test_rho_overflow_raises_non_finite_error(self):
         m = SymmetricMatrix(np.full((2, 2), 1e200))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="rho_3"):
-                rho_k(m, 3)
+                rho_k(m, (3,))
 
 
 def random_stack(count, n, seed):
@@ -163,10 +215,12 @@ class TestStacks:
         stack = random_stack(7, 6, 24 + k)
         m = SymmetricMatrix(stack)
         members = [SymmetricMatrix(a) for a in stack]
-        rho = rho_k(m, k)
+        (rho,) = rho_k(m, (k,))
         sigma = sigma_k(m, k)
         assert rho.shape == sigma.shape == (7,)
-        assert np.allclose(rho, [rho_k(a, k) for a in members], rtol=1e-13, atol=1e-13)
+        assert np.allclose(
+            rho, [rho_k(a, (k,))[0] for a in members], rtol=1e-13, atol=1e-13
+        )
         assert np.allclose(
             sigma, [sigma_k(a, k) for a in members], rtol=1e-13, atol=1e-13
         )
@@ -185,7 +239,7 @@ class TestStacks:
         stack[1] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="rho_3"):
-                rho_k(SymmetricMatrix(stack), 3)
+                rho_k(SymmetricMatrix(stack), (3,))
 
 
 class TestNewton:
