@@ -2,10 +2,12 @@
 
 For a complex structure J commuting suitably with the Clifford system, F is
 invariant under z -> cos(theta) z + sin(theta) J z. This module measures
-that invariance, computes the quartic form Omega = DF^T J D^2F J DF and the
-vertical curvature alpha it determines, exposes the shape operator in the
-adapted complex frame (where the J x direction carries an exact -1 link to
-J nu), and decomposes J x over the curvature eigenspaces.
+that invariance, computes the quartic form Omega = DF^T J D^2F J DF (and
+its closed form, one expression per supported (system, J) pair) and the
+vertical curvature alpha it determines, compresses the shape operator off
+the fibre direction J x, and decomposes J x over the curvature eigenspaces
+by eigenprojection. Each quantity has one route here; the oracles it is
+checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .spherelevel import (
     regular_sphere_points,
     seeded_streams,
 )
-from .symmat import CLUSTER_TOL, Spectrum, SymmetricMatrix, eigh, vandermonde_solve
+from .symmat import CLUSTER_TOL, Spectrum, SymmetricMatrix, eigh
 
 INVARIANCE_TOL = 1e-9
 CONTEXT_CHECK_SAMPLES = 50
@@ -83,12 +85,11 @@ def omega_direct(ctx: HopfContext, frame: SpherePointFrame) -> float:
     return float(frame.df @ jm @ frame.d2f @ (jm @ frame.df))
 
 
-def omega_closed_form(ctx: HopfContext, x, form: str = "auto") -> float:
-    """Closed form of Omega for the supported (system, J) pairs.
-
-    form = 'reduced' insists on the short m = 1 / m = 2 block expressions,
-    'general' on the full standard-block formula; 'auto' picks the most
-    specific one available. Unsupported combinations raise
+def omega_closed_form(ctx: HopfContext, x) -> float:
+    """Closed form of Omega for the supported (system, J) pairs: the
+    standard-block formula for the standard system with the block structure
+    (any m), and one quaternion-block expression for each structure of the
+    Ozeki-Takeuchi system. Unsupported combinations raise
     UnsupportedPairError.
     """
     P = ctx.P
@@ -101,12 +102,6 @@ def omega_closed_form(ctx: HopfContext, x, form: str = "auto") -> float:
     qs = [float(z @ (a @ z)) for a in system.generators]
     if system.tag == TAG_STANDARD and ctx.J.tag == J_BLOCK:
         m = system.m
-        if form in ("auto", "reduced") and m == 1:
-            return 64.0 * (-2.0 * F * F - F + 2.0)
-        if form in ("auto", "reduced") and m == 2:
-            return 64.0 * (-2.0 * F * F - F + 2.0 - 8.0 * (1.0 + F) * qs[2] ** 2)
-        if form == "reduced":
-            raise UnsupportedPairError(f"no reduced block expression for m = {m}")
         acc = 2.0 * F * F - F - 2.0 + 8.0 * (1.0 + F) * (qs[0] ** 2 + qs[1] ** 2)
         for q in range(2, m + 1):
             inner = sum(
@@ -115,12 +110,6 @@ def omega_closed_form(ctx: HopfContext, x, form: str = "auto") -> float:
             )
             acc += 16.0 * inner * inner
         return 64.0 * acc
-    if system.tag == TAG_OZEKI_TAKEUCHI and form != "auto":
-        # the two quaternion-block expressions are recorded per structure,
-        # not as reduced/general variants of the standard-block formula
-        raise UnsupportedPairError(
-            f"form {form!r} does not apply to {system.tag}; use 'auto'"
-        )
     if system.tag == TAG_OZEKI_TAKEUCHI and ctx.J.tag == J_RIGHT:
         acc = 2.0 * F * F - F - 2.0
         for q in range(4):
@@ -175,54 +164,33 @@ def alpha_at(ctx: HopfContext, frame: SpherePointFrame) -> AlphaPair:
     return AlphaPair(closed=float(closed), geometric=geometric, omega=omega)
 
 
-@dataclass(frozen=True)
-class HopfBlocks:
-    """Shape operator compressed to the tangent complement of Jx, and the
-    residual of its forced link S Jx = -Jnu (which carries the zero (Jx, Jx)
-    corner and the zero couplings between Jx and the rest)."""
-
-    s_tilde: SymmetricMatrix
-    sjx_residual: float
+def _fibre_coords(ctx: HopfContext, frame: SpherePointFrame) -> np.ndarray:
+    """Coordinates of the fibre direction J x in the frame's tangent basis."""
+    return frame.tangent_basis @ (ctx.J.matrix @ frame.point)
 
 
-def _fibre_coords(ctx: HopfContext, frame: SpherePointFrame, vector) -> np.ndarray:
-    """Coordinates of J vector in the frame's tangent basis."""
-    return frame.tangent_basis @ (ctx.J.matrix @ vector)
-
-
-def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> HopfBlocks:
-    """S~ = B S B^T with B the tangent complement of v = Jx, and
-    |S v + w| with w = Jnu, both in the frame's tangent basis."""
+def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> SymmetricMatrix:
+    """S~ = B S B^T, the shape operator compressed to the tangent complement
+    B of v = J x, in the frame's tangent basis."""
     if abs(float((ctx.J.matrix @ frame.point) @ frame.nu)) > 1e-8:
         raise InvarianceError(
             "J x is not tangent to the level set; frame is degenerate here"
         )
-    v = _fibre_coords(ctx, frame, frame.point)
-    w = _fibre_coords(ctx, frame, frame.nu)
-    s = frame.shape.entries
-    rest = orthonormal_complement(v[None, :])
-    return HopfBlocks(
-        s_tilde=SymmetricMatrix(rest @ s @ rest.T),
-        sjx_residual=float(np.linalg.norm(s @ v + w)),
-    )
+    rest = orthonormal_complement(_fibre_coords(ctx, frame)[None, :])
+    return SymmetricMatrix(rest @ frame.shape.entries @ rest.T)
 
 
 @dataclass(frozen=True)
 class HopfDecomposition:
     """Weights of Jx over the curvature eigenspaces: Jx = sum phi_i eps_i.
 
-    phi_sq holds the squared weights from direct eigenprojection;
-    phi_sq_moment holds the alternate route solving the moment system
-    (1, 0, 1, alpha) on the g = 4 curvature nodes by a Vandermonde solve.
-    l counts weights above CLUSTER_TOL.
+    lambdas are the g distinct curvatures, descending; phi_sq the squared
+    weights by eigenprojection; l counts weights above CLUSTER_TOL.
     """
 
     lambdas: tuple
     phi_sq: tuple
-    phi_sq_moment: tuple
-    route_difference: float
     l: int
-    moment_residuals: tuple  # deviations of (sum phi^2, sum lam phi^2 - 0, ...)
 
 
 def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecomposition:
@@ -232,33 +200,15 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
         raise SpectralGapError(
             f"expected {ctx.g} curvature clusters, found {len(spectrum.grouping)}"
         )
-    coords = vecs.T @ _fibre_coords(ctx, frame, frame.point)
+    coords = vecs.T @ _fibre_coords(ctx, frame)
     bounds = np.cumsum((0,) + spectrum.multiplicities())
-    lambdas = spectrum.distinct()
     phi_sq = tuple(
         float(np.sum(coords[a:b] ** 2)) for a, b in zip(bounds, bounds[1:])
     )
-    alpha = alpha_at(ctx, frame).closed
-    phi_m = tuple(
-        float(v) for v in vandermonde_solve(lambdas, [1.0, 0.0, 1.0, alpha])
-    )
-    # np.max carries a NaN weight of either route into the difference.
-    diff = np.max(np.abs(np.subtract(phi_sq, phi_m)))
-    lam = np.array(lambdas)
-    phi = np.array(phi_sq)
-    moment_residuals = (
-        abs(float(phi.sum()) - 1.0),
-        abs(float(lam @ phi)),
-        abs(float(lam**2 @ phi) - 1.0),
-        abs(float(lam**3 @ phi) - alpha),
-    )
     return HopfDecomposition(
-        lambdas=lambdas,
+        lambdas=spectrum.distinct(),
         phi_sq=phi_sq,
-        phi_sq_moment=phi_m,
-        route_difference=float(diff),
         l=int(sum(1 for p in phi_sq if p > CLUSTER_TOL)),
-        moment_residuals=moment_residuals,
     )
 
 

@@ -40,17 +40,26 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         # One contiguous copy of a^T serves a - a^T and a^T + a (reading the
         # strided transpose is the slow part). a - a^T is exactly
-        # antisymmetric, so its max is its largest |entry|, as a NaN entry
-        # carries through both; its buffer then takes |a| for the scale.
+        # antisymmetric, so its max is its largest |entry|; its buffer then
+        # takes |a| for the scale. A NaN or infinite entry makes the scale
+        # non-finite (and may make the asymmetry NaN), so a member passes
+        # only if its scale is finite and its asymmetry compares in bound.
         axes = (-2, -1)
         sym = np.swapaxes(a, -2, -1).copy()
         diff = a - sym
         skew = diff.max(axis=axes)
         scale = np.abs(a, out=diff).max(axis=axes)
-        bad = skew > 1e-8 * np.maximum(1.0, scale)
+        bad = ~(np.isfinite(scale) & (skew <= 1e-8 * np.maximum(1.0, scale)))
         if bad.any():
             i = int(np.argmax(bad))
             where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
+            member = a.reshape((-1,) + a.shape[-2:])[i]
+            if not np.isfinite(np.ravel(scale)[i]):
+                r, c = np.argwhere(~np.isfinite(member))[0]
+                raise ValueError(
+                    f"matrix has a non-finite entry {member[r, c]} at "
+                    f"({r}, {c}){where}"
+                )
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry "
                 f"{np.ravel(skew)[i]:.3e}{where}"
@@ -85,26 +94,24 @@ class Spectrum:
     """Eigenvalues sorted descending, plus a clustering into near-equal groups.
 
     grouping is a tuple of (representative value, multiplicity) pairs built
-    with gap tolerance CLUSTER_TOL. imag_residual records how much imaginary
-    part was discarded when the spectrum came from a root-finding path.
+    with gap tolerance CLUSTER_TOL.
     """
 
     values: np.ndarray
     grouping: tuple
-    imag_residual: float = 0.0
 
     @classmethod
-    def from_values(cls, values, tol=CLUSTER_TOL, imag_residual=0.0):
+    def from_values(cls, values):
         w = np.sort(np.asarray(values, dtype=float))[::-1].copy()
         groups = []
         start = 0
         for i in range(1, len(w) + 1):
-            if i == len(w) or w[i - 1] - w[i] > tol:
+            if i == len(w) or w[i - 1] - w[i] > CLUSTER_TOL:
                 block = w[start:i]
                 groups.append((float(block.mean()), len(block)))
                 start = i
         w.flags.writeable = False
-        return cls(values=w, grouping=tuple(groups), imag_residual=float(imag_residual))
+        return cls(values=w, grouping=tuple(groups))
 
     @property
     def order(self) -> int:
@@ -279,7 +286,7 @@ def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> Spectrum:
             "realizable by a real symmetric operator",
             imag_residual=imag,
         )
-    return Spectrum.from_values(roots.real, imag_residual=imag)
+    return Spectrum.from_values(roots.real)
 
 
 def vandermonde_solve(nodes, moments):

@@ -256,9 +256,13 @@ def test_criterion_09_invariant_block_structure(capsys):
         ctx = CTX[name]
         for x in regular_sphere_points(ctx.P, 50, SEED + 8, f_bound=0.8):
             frame = frame_at(ctx.P, x)
-            blocks = hopf_blocks(ctx, frame)
-            worst_frame = max(worst_frame, blocks.sjx_residual)
-            s, st = frame.shape, blocks.s_tilde
+            # the forced link S Jx = -Jnu in the frame's tangent basis
+            jx = frame.tangent_basis @ (ctx.J.matrix @ frame.point)
+            jnu = frame.tangent_basis @ (ctx.J.matrix @ frame.nu)
+            worst_frame = max(
+                worst_frame, float(np.linalg.norm(frame.shape.entries @ jx + jnu))
+            )
+            s, st = frame.shape, hopf_blocks(ctx, frame)
             alpha = alpha_at(ctx, frame).closed
             worst_frame = max(
                 worst_frame,
@@ -266,8 +270,16 @@ def test_criterion_09_invariant_block_structure(capsys):
                 abs(sigma_k(s, 2) - (sigma_k(st, 2) - 1.0)),
                 abs(sigma_k(s, 3) - (sigma_k(st, 3) - sigma_k(st, 1) + alpha)),
             )
+            # the weights' moments (1, 0, 1, alpha) on the curvature nodes
             dec = phi_decomposition(ctx, frame)
-            worst_moment = max(worst_moment, max(dec.moment_residuals))
+            lam, phi = np.array(dec.lambdas), np.array(dec.phi_sq)
+            worst_moment = max(
+                worst_moment,
+                abs(float(phi.sum()) - 1.0),
+                abs(float(lam @ phi)),
+                abs(float(lam**2 @ phi) - 1.0),
+                abs(float(lam**3 @ phi) - alpha),
+            )
     ok = worst_frame < tol_frame and worst_moment < tol_moments
     emit(
         capsys, 9, "invariant-block-structure", ok,

@@ -6,16 +6,22 @@ longer exists makes every traced benchmark run fail. Module-level names must
 be attributes of their module; dotted names must be defined in the class body
 itself, because the recorder reads them from the class __dict__.
 bench/workloads.py copies the README's "Command line" block verbatim as the
-readme-cold workload.
+readme-cold workload. Every command in bench/reference.json must still give
+its recorded verdict skeleton (exit code, params, samples, row names and
+tolerances): the benchmark fails an invocation whose skeleton differs.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from isopar import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
 
 
 def load_bench(name):
@@ -50,3 +56,13 @@ def test_readme_workload_is_the_readme_block():
         " ".join(line.split("#", 1)[0].split()[1:]) for line in block.splitlines()
     ]
     assert load_bench("workloads").README == commands
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE["reports"]))
+def test_reference_command_keeps_its_skeleton(command, tmp_path, monkeypatch, capsys):
+    workloads = load_bench("workloads")
+    monkeypatch.chdir(tmp_path)  # a --csv side file lands in tmp_path
+    code = cli.main(workloads.argv_of(command, REFERENCE["seed"]))
+    doc = json.loads(capsys.readouterr().out)
+    expected = REFERENCE["reports"][command]["skeleton"]
+    assert workloads.skeleton(code, doc) == expected

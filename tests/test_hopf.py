@@ -26,7 +26,7 @@ from isopar.spherelevel import (
     orthonormal_complement,
     regular_sphere_points,
 )
-from isopar.symmat import sigma_k
+from isopar.symmat import SymmetricMatrix, sigma_k, vandermonde_solve
 
 _cache = {}
 
@@ -159,18 +159,23 @@ class TestOmega:
             assert closed == pytest.approx(direct, abs=1e-10, rel=1e-10)
 
     def test_reduced_and_general_forms_agree(self):
+        # the short block expressions for m = 1 and m = 2, written out here,
+        # against the general standard-block formula
         for name in ["fkm13-block", "fkm24-block"]:
             ctx = context(name)
             x = regular_sphere_points(ctx.P, 1, 73)[0]
-            reduced = omega_closed_form(ctx, x, form="reduced")
-            general = omega_closed_form(ctx, x, form="general")
-            assert reduced == pytest.approx(general, abs=1e-10)
+            F = eval_F(ctx.P, x)
+            reduced = 64.0 * (-2.0 * F * F - F + 2.0)
+            if ctx.P.system.m == 2:
+                q2 = x @ ctx.P.system.generators[2] @ x
+                reduced -= 64.0 * 8.0 * (1.0 + F) * q2**2
+            assert omega_closed_form(ctx, x) == pytest.approx(reduced, abs=1e-10)
 
-    def test_general_form_unsupported_for_ot(self):
-        ctx = context("ot1-right")
+    def test_unsupported_pair_raises(self):
+        ctx = HopfContext(make_fkm(2, 4), build_complex_structure(J_LEFT, 8))
         x = regular_sphere_points(ctx.P, 1, 74)[0]
-        with pytest.raises(UnsupportedPairError):
-            omega_closed_form(ctx, x, form="general")
+        with pytest.raises(UnsupportedPairError, match="no closed form"):
+            omega_closed_form(ctx, x)
 
 
 class TestAlpha:
@@ -236,23 +241,44 @@ class TestAlpha:
         assert alpha_plus == pytest.approx(2.0, abs=1e-10)
         assert alpha_minus == pytest.approx(-2.0, abs=1e-10)
 
+    def test_scan_calls_alpha_once_per_sample(self, monkeypatch):
+        # the weight count reads the eigenprojection only, not alpha again
+        ctx = context("fkm24-block")
+        calls = []
+
+        def counted(ctx, frame):
+            calls.append(frame)
+            return alpha_at(ctx, frame)
+
+        monkeypatch.setattr(hopf, "alpha_at", counted)
+        records, _ = alpha_scan(ctx, 0.3, 7, 89)
+        assert len(records) == 7
+        assert len(calls) == 7
+
 
 class TestBlocks:
     @pytest.mark.parametrize("name", CONTEXT_NAMES)
     def test_forced_structure(self, name):
+        # S Jx = -Jnu in the frame's tangent basis, which carries the zero
+        # (Jx, Jx) corner and the zero couplings between Jx and the rest
         ctx = context(name)
+        jm = ctx.J.matrix
         for x in regular_sphere_points(ctx.P, 8, 97):
-            blocks = hopf_blocks(ctx, frame_at(ctx.P, x))
-            assert blocks.sjx_residual < 1e-10
+            frame = frame_at(ctx.P, x)
+            jx = frame.tangent_basis @ (jm @ frame.point)
+            jnu = frame.tangent_basis @ (jm @ frame.nu)
+            assert np.linalg.norm(frame.shape.entries @ jx + jnu) < 1e-10
+            s_tilde = hopf_blocks(ctx, frame)
+            assert isinstance(s_tilde, SymmetricMatrix)
+            assert s_tilde.order == frame.shape.order - 1
 
     @pytest.mark.parametrize("name", CONTEXT_NAMES)
     def test_sigma_identities(self, name):
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 8, 101):
             frame = frame_at(ctx.P, x)
-            blocks = hopf_blocks(ctx, frame)
             alpha = alpha_at(ctx, frame).closed
-            s, st = frame.shape, blocks.s_tilde
+            s, st = frame.shape, hopf_blocks(ctx, frame)
             assert sigma_k(s, 1) == pytest.approx(sigma_k(st, 1), abs=1e-7)
             assert sigma_k(s, 2) == pytest.approx(sigma_k(st, 2) - 1.0, abs=1e-7)
             assert sigma_k(s, 3) == pytest.approx(
@@ -273,7 +299,7 @@ class TestBlocks:
             )
             rows = np.vstack([rest, jnu])
             explicit = -frame.hessian_in(rows) / frame.grad_norm
-            compressed = hopf_blocks(ctx, frame).s_tilde.entries
+            compressed = hopf_blocks(ctx, frame).entries
             deviation = np.abs(
                 np.linalg.eigvalsh(compressed) - np.linalg.eigvalsh(explicit)
             )
@@ -283,37 +309,30 @@ class TestBlocks:
 class TestPhiDecomposition:
     @pytest.mark.parametrize("name", CONTEXT_NAMES)
     def test_moment_identities(self, name):
+        # sum lam^k phi^2 = (1, 0, 1, alpha) for k = 0..3
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 6, 103):
-            dec = phi_decomposition(ctx, frame_at(ctx.P, x))
+            frame = frame_at(ctx.P, x)
+            dec = phi_decomposition(ctx, frame)
             assert len(dec.lambdas) == ctx.P.g
-            for res in dec.moment_residuals:
-                assert res < 1e-8
+            lam, phi = np.array(dec.lambdas), np.array(dec.phi_sq)
+            alpha = alpha_at(ctx, frame).closed
+            moments = [lam**k @ phi for k in range(4)]
+            for res in np.subtract(moments, [1.0, 0.0, 1.0, alpha]):
+                assert abs(res) < 1e-8
             assert abs(sum(dec.phi_sq) - 1.0) < 1e-10
 
     def test_two_routes_agree(self):
+        # eigenprojection against the moment system (1, 0, 1, alpha) solved
+        # on the curvature nodes by a Vandermonde solve
         ctx = context("fkm24-block")
         for x in regular_sphere_points(ctx.P, 6, 107):
-            dec = phi_decomposition(ctx, frame_at(ctx.P, x))
-            assert len(dec.phi_sq_moment) == ctx.P.g
-            assert dec.route_difference < 1e-8
-
-    @pytest.mark.parametrize("index", [1, 3])
-    def test_nan_weight_reaches_route_difference(self, monkeypatch, index):
-        # A NaN in a later moment-route weight must not be dropped by the
-        # reduction, as the builtin max did after a finite first weight.
-        ctx = context("fkm24-block")
-        solve = hopf.vandermonde_solve
-
-        def poisoned(nodes, moments):
-            weights = np.array(solve(nodes, moments), dtype=float)
-            weights[index] = np.nan
-            return weights
-
-        monkeypatch.setattr(hopf, "vandermonde_solve", poisoned)
-        x = regular_sphere_points(ctx.P, 1, 107)[0]
-        dec = phi_decomposition(ctx, frame_at(ctx.P, x))
-        assert np.isnan(dec.route_difference)
+            frame = frame_at(ctx.P, x)
+            dec = phi_decomposition(ctx, frame)
+            alpha = alpha_at(ctx, frame).closed
+            phi_m = vandermonde_solve(dec.lambdas, [1.0, 0.0, 1.0, alpha])
+            assert len(phi_m) == ctx.P.g
+            assert np.max(np.abs(np.subtract(dec.phi_sq, phi_m))) < 1e-8
 
     def test_weight_count_bounds(self):
         ctx = context("fkm24-block")

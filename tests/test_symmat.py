@@ -69,20 +69,26 @@ class TestSymmetricMatrix:
             "(matrix 2 of the stack)"
         )
 
-    def test_nan_entry_passes_the_gate_as_before(self):
-        # a NaN asymmetry and a NaN scale compare false, so the gate lets a
-        # NaN member through (the power sums and eigensolves reject it), and
-        # still judges the other members of a stack
-        a = np.array([[1.0, np.nan], [2.0, 3.0]])
-        entries = SymmetricMatrix(a).entries
-        assert np.array_equal(entries, (a + a.T) / 2.0, equal_nan=True)
+    def test_non_finite_entry_rejected(self):
+        # a NaN, or an infinity even with an equal partner, fails the gate
+        # by name, in the first bad member of a stack; a finite asymmetric
+        # member is still named by index
+        with pytest.raises(ValueError, match=r"non-finite entry nan at \(0, 1\)"):
+            SymmetricMatrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match=r"non-finite entry inf at \(0, 1\)"):
+            SymmetricMatrix(np.array([[1.0, np.inf], [2.0, 3.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"non-finite entry -inf at \(0, 1\)"
+        ):
+            SymmetricMatrix(np.array([[1.0, -np.inf], [-np.inf, 3.0]]))
         stack = random_stack(3, 4, 9)
-        stack[0, 1, 1] = np.nan
-        stack[0, 0, 3] += 1.0
-        m = SymmetricMatrix(stack)
-        assert np.isnan(m.entries[0, 1, 1])
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(
+            ValueError, match=r"non-finite entry nan at \(1, 1\) \(matrix 2 of"
+        ):
+            SymmetricMatrix(stack)
         stack[1, 2, 0] += 1.0
-        with pytest.raises(ValueError, match="matrix 1 of the stack"):
+        with pytest.raises(ValueError, match="not symmetric.*matrix 1 of the stack"):
             SymmetricMatrix(stack)
 
     def test_rejects_non_square(self):
