@@ -53,8 +53,8 @@ class SymmetricMatrix:
         if bad.any():
             i = int(np.argmax(bad))
             where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
-            member = a.reshape((-1,) + a.shape[-2:])[i]
             if not np.isfinite(np.ravel(scale)[i]):
+                member = a.reshape((-1,) + a.shape[-2:])[i]
                 r, c = np.argwhere(~np.isfinite(member))[0]
                 raise ValueError(
                     f"matrix has a non-finite entry {member[r, c]} at "
