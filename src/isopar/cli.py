@@ -66,6 +66,7 @@ from .riccati import (
 from .spherelevel import (
     MATCH_TOL,
     frame_at,
+    in_blocks,
     level_project,
     munzner_check,
     munzner_rhobar,
@@ -99,11 +100,6 @@ TOL_RICCATI_ROUNDTRIP = 1e-6
 LEVEL_BOUND = 0.8
 LEVEL_POINTS = 33
 RECURRENCE_K_MAX = 6
-
-# Samples per kernel call in verify-cm and verify-hidden: large enough to
-# amortize the per-call overhead, small enough that the (block, d, d)
-# Hessian and frame stacks stay a fraction of a megabyte.
-_SAMPLE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -276,17 +272,11 @@ def _member(family: str, m, r) -> IsoPolynomial:
 
 def _block_residuals(count: int, evaluate) -> np.ndarray:
     """Residuals of `count` samples, evaluate(block) returning those of one
-    slice of at most _SAMPLE_BLOCK consecutive sample indices (leading axes
-    are evaluate's, one per row). A sample left unfilled stays NaN, and
-    np.max carries a NaN through to the gate."""
-    res = None
-    for start in range(0, count, _SAMPLE_BLOCK):
-        block = slice(start, min(start + _SAMPLE_BLOCK, count))
-        part = np.asarray(evaluate(block))
-        if res is None:
-            res = np.full(part.shape[:-1] + (count,), np.nan)
-        res[..., block] = part
-    return res
+    in_blocks slice of sample indices (leading axes are evaluate's, one per
+    row), joined along the sample axis."""
+    return np.concatenate(
+        [np.asarray(part) for part in in_blocks(count, evaluate)], axis=-1
+    )
 
 
 def _ball_points(dim: int, count: int, seed: int, radius: float) -> np.ndarray:
@@ -419,9 +409,9 @@ def cmd_alpha_scan(args, report):
     report.params.update(J=jtag, levels=",".join(f"{lv:g}" for lv in levels))
 
     level_stats = []
-    csv_rows = []
+    scans = []
     for level in levels:
-        records, summary = alpha_scan(ctx, level, args.samples, report.seed)
+        scan, summary = alpha_scan(ctx, level, args.samples, report.seed)
         level_stats.append({"level": level, **summary})
         report.add(
             f"alpha-spread-level={level:g}",
@@ -430,7 +420,7 @@ def cmd_alpha_scan(args, report):
             "spread of the normal-torsion ratio over the level set "
             "(zero iff constant)",
         )
-        csv_rows.extend(records)
+        scans.append(scan)
     report.extra["alpha"] = level_stats
 
     witnesses = witness_points(ctx)
@@ -450,7 +440,8 @@ def cmd_alpha_scan(args, report):
         )
 
     return "alpha", lambda: (
-        [f.name for f in fields(AlphaSample)], map(astuple, csv_rows)
+        [f.name for f in fields(AlphaSample)],
+        (row for scan in scans for row in zip(*astuple(scan))),
     )
 
 
@@ -571,19 +562,23 @@ def cmd_spectrum(args, report):
         raise ConstructionError(f"level t = {level} must satisfy |t| < 1")
     report.params["level"] = level
 
-    checks = [
-        munzner_check(frame_at(fam, level_project(fam, x, level)))
-        for x in regular_sphere_points(fam, args.samples, report.seed)
-    ]
+    pts = regular_sphere_points(fam, args.samples, report.seed)
+
+    def check(block):
+        return munzner_check(frame_at(fam, level_project(fam, pts[block], level)))
+
+    deviation, flipped, expected = map(
+        np.concatenate, zip(*in_blocks(args.samples, check))
+    )
     report.add(
-        "spectrum-match", [c.max_deviation for c in checks], MATCH_TOL,
+        "spectrum-match", deviation, MATCH_TOL,
         "shape operator eigenvalues vs the cotangent-shift prediction",
     )
     report.add(
-        "orientation-flips", sum(c.orientation_flipped for c in checks), 0.0,
+        "orientation-flips", np.count_nonzero(flipped), 0.0,
         "count of points matching only after a global sign flip",
     )
-    report.extra["expected_values"] = [float(v) for v in checks[0].expected]
+    report.extra["expected_values"] = [float(v) for v in expected[0]]
 
     return "recurrence", functools.partial(
         recurrence_table, fam.g, fam.m1, fam.m2,

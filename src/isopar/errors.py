@@ -45,10 +45,6 @@ class InvarianceError(IsoparError):
     """A claimed symmetry does not hold to tolerance."""
 
 
-class SpectralGapError(IsoparError):
-    """Eigenvalue clustering did not produce the expected group count."""
-
-
 class UnsupportedPairError(IsoparError):
     """No closed form is known for this family / structure combination."""
 

@@ -7,7 +7,8 @@ its closed form, one expression per supported (system, J) pair) and the
 vertical curvature alpha it determines, compresses the shape operator off
 the fibre direction J x, and decomposes J x over the curvature eigenspaces
 by eigenprojection. Each quantity has one route here; the oracles it is
-checked against live in the tests.
+checked against live in the tests. Omega, alpha and the decomposition read
+a frame or a frame stack, alpha_scan SAMPLE_BLOCK samples at a time.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import ComplexStructure, TAG_OZEKI_TAKEUCHI, TAG_STANDARD, J_BLOCK, J_LEFT, J_RIGHT
-from .errors import InvarianceError, SpectralGapError, UnsupportedPairError
+from .errors import InvarianceError, UnsupportedPairError
 from .polyfam import IsoPolynomial, eval_F, point_norm
 from .spherelevel import (
     SpherePointFrame,
     frame_at,
+    in_blocks,
     level_project,
     orthonormal_complement,
     regular_sphere_points,
     seeded_streams,
 )
-from .symmat import CLUSTER_TOL, Spectrum, SymmetricMatrix, eigh
+from .symmat import CLUSTER_TOL, SymmetricMatrix, cluster_starts, eigh, scalar_or_stack
 
 INVARIANCE_TOL = 1e-9
 CONTEXT_CHECK_SAMPLES = 50
@@ -79,10 +81,15 @@ class HopfContext:
         self.g = P.g
 
 
-def omega_direct(ctx: HopfContext, frame: SpherePointFrame) -> float:
-    """Omega = DF^T J D^2F J DF, from the raw derivatives the frame holds."""
+def omega_direct(ctx: HopfContext, frame: SpherePointFrame):
+    """Omega = DF^T J D^2F J DF, from the raw derivatives the frame holds: a
+    float, or one value per frame of a stack. DF enters as a (..., 1, d) row
+    and J DF as a (..., d, 1) column, so a row of a stack goes through the
+    BLAS calls of the single frame."""
     jm = ctx.J.matrix
-    return float(frame.df @ jm @ frame.d2f @ (jm @ frame.df))
+    jdf = jm @ frame.df[..., :, None]
+    omega = frame.df[..., None, :] @ jm @ frame.d2f @ jdf
+    return scalar_or_stack(omega[..., 0, 0])
 
 
 def omega_closed_form(ctx: HopfContext, x) -> float:
@@ -133,40 +140,30 @@ def omega_closed_form(ctx: HopfContext, x) -> float:
     )
 
 
-@dataclass(frozen=True)
-class AlphaPair:
-    """alpha from the Omega formula and from the shape operator directly,
-    with the Omega the closed path used."""
+def alpha_at(ctx: HopfContext, frame: SpherePointFrame):
+    """Vertical curvature alpha = <S Jnu, Jnu> at a frame on a regular level,
+    and the Omega it is read from: floats, or one value each per frame of a
+    stack.
 
-    closed: float
-    geometric: float
-    omega: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.closed - self.geometric)
-
-
-def alpha_at(ctx: HopfContext, frame: SpherePointFrame) -> AlphaPair:
-    """Vertical curvature alpha = <S Jnu, Jnu> at a frame on a regular level.
-
-    Closed path: alpha = (g^3 F (3 - 2F^2) + Omega) / (g^3 (1 - F^2)^(3/2)).
-    Geometric path: -H_f(Jnu, Jnu) / |grad f| from the raw Hessian.
+    alpha = (g^3 F (3 - 2F^2) + Omega) / (g^3 (1 - F^2)^(3/2)). The power is
+    np.float_power, which calls libm's pow as Python's float power does;
+    np.power's vectorised loop rounds some values differently in the last
+    bit.
     """
     F = frame.f
     g = float(ctx.g)
     omega = omega_direct(ctx, frame)
-    closed = (g**3 * F * (3.0 - 2.0 * F * F) + omega) / (
-        g**3 * (1.0 - F * F) ** 1.5
+    alpha = (g**3 * F * (3.0 - 2.0 * F * F) + omega) / (
+        g**3 * np.float_power(1.0 - F * F, 1.5)
     )
-    jnu = ctx.J.matrix @ frame.nu
-    geometric = -float(frame.hessian_in(jnu[None, :])[0, 0]) / frame.grad_norm
-    return AlphaPair(closed=float(closed), geometric=geometric, omega=omega)
+    return scalar_or_stack(alpha), omega
 
 
 def _fibre_coords(ctx: HopfContext, frame: SpherePointFrame) -> np.ndarray:
-    """Coordinates of the fibre direction J x in the frame's tangent basis."""
-    return frame.tangent_basis @ (ctx.J.matrix @ frame.point)
+    """Coordinates of the fibre direction J x in the frame's tangent basis,
+    (..., n) for a frame stack."""
+    jx = ctx.J.matrix @ frame.point[..., :, None]
+    return (frame.tangent_basis @ jx)[..., 0]
 
 
 def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> SymmetricMatrix:
@@ -182,33 +179,37 @@ def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> SymmetricMatrix:
 
 @dataclass(frozen=True)
 class HopfDecomposition:
-    """Weights of Jx over the curvature eigenspaces: Jx = sum phi_i eps_i.
+    """Weights of Jx over the curvature eigenspaces: Jx = sum phi_i eps_i,
+    for a frame, or one row per frame of a stack.
 
-    lambdas are the g distinct curvatures, descending; phi_sq the squared
-    weights by eigenprojection; l counts weights above CLUSTER_TOL.
+    lambdas are the g distinct curvatures, descending, and phi_sq the
+    squared weights by eigenprojection, (..., g); l counts weights above
+    CLUSTER_TOL. Where the eigenvalues do not fall into g clusters, l is -1
+    and lambdas and phi_sq are NaN.
     """
 
-    lambdas: tuple
-    phi_sq: tuple
-    l: int
+    lambdas: np.ndarray
+    phi_sq: np.ndarray
+    l: np.ndarray | int
 
 
 def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecomposition:
     w, vecs = eigh(frame.shape.entries)
-    spectrum = Spectrum.from_values(w)
-    if len(spectrum.grouping) != ctx.g:
-        raise SpectralGapError(
-            f"expected {ctx.g} curvature clusters, found {len(spectrum.grouping)}"
-        )
-    coords = vecs.T @ _fibre_coords(ctx, frame)
-    bounds = np.cumsum((0,) + spectrum.multiplicities())
-    phi_sq = tuple(
-        float(np.sum(coords[a:b] ** 2)) for a, b in zip(bounds, bounds[1:])
-    )
+    # each eigenvalue's cluster, and the (..., g, n) cluster membership
+    cluster = np.zeros(w.shape, dtype=int)
+    cluster[..., 1:] = np.cumsum(cluster_starts(w), axis=-1)
+    member = cluster[..., None, :] == np.arange(ctx.g)[:, None]
+    split = (cluster[..., -1] != ctx.g - 1)[..., None]
+    # J x in the eigenbasis: V^T (J x coordinates)
+    coords = (np.swapaxes(vecs, -2, -1) @ _fibre_coords(ctx, frame)[..., None])[..., 0]
+    weights = np.sum(member * coords[..., None, :] ** 2, axis=-1)
+    means = np.sum(member * w[..., None, :], axis=-1) / np.maximum(member.sum(-1), 1)
+    phi_sq = np.where(split, np.nan, weights)
+    l = np.where(split[..., 0], -1, np.count_nonzero(phi_sq > CLUSTER_TOL, axis=-1))
     return HopfDecomposition(
-        lambdas=spectrum.distinct(),
+        lambdas=np.where(split, np.nan, means),
         phi_sq=phi_sq,
-        l=int(sum(1 for p in phi_sq if p > CLUSTER_TOL)),
+        l=l if l.ndim else int(l),
     )
 
 
@@ -250,36 +251,39 @@ def witness_points(ctx: HopfContext):
 
 @dataclass(frozen=True)
 class AlphaSample:
-    index: int
-    level: float
-    alpha: float
-    omega: float
-    l: int
+    """alpha_scan's columns, one entry per sample: index, level, alpha,
+    Omega and the weight count l."""
+
+    index: np.ndarray
+    level: np.ndarray
+    alpha: np.ndarray
+    omega: np.ndarray
+    l: np.ndarray
 
 
 def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
     """alpha, Omega and the weight count l at `samples` points projected to
-    the given level. Returns (records, summary stats of alpha)."""
+    the given level, projected, framed and decomposed SAMPLE_BLOCK rows at a
+    time. Returns (AlphaSample columns, summary stats of alpha)."""
     P = ctx.P
     pts = regular_sphere_points(P, samples, seed, f_bound=0.85)
-    records = []
-    for i, p in enumerate(pts):
-        frame = frame_at(P, level_project(P, p, level))
-        pair = alpha_at(ctx, frame)
-        try:
-            count = phi_decomposition(ctx, frame).l
-        except SpectralGapError:
-            count = -1
-        records.append(
-            AlphaSample(
-                index=i, level=level, alpha=pair.closed, omega=pair.omega, l=count
-            )
-        )
-    alphas = np.array([rec.alpha for rec in records])
+
+    def scan(block):
+        frames = frame_at(P, level_project(P, pts[block], level))
+        return *alpha_at(ctx, frames), phi_decomposition(ctx, frames).l
+
+    alpha, omega, l = map(np.concatenate, zip(*in_blocks(samples, scan)))
+    columns = AlphaSample(
+        index=np.arange(samples),
+        level=np.full(samples, level),
+        alpha=alpha,
+        omega=omega,
+        l=l,
+    )
     summary = {
-        "min": float(alphas.min()),
-        "max": float(alphas.max()),
-        "mean": float(alphas.mean()),
-        "std": float(alphas.std()),
+        "min": float(alpha.min()),
+        "max": float(alpha.max()),
+        "mean": float(alpha.mean()),
+        "std": float(alpha.std()),
     }
-    return records, summary
+    return columns, summary

@@ -10,12 +10,13 @@ normal great circle.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConditioningError, FocalPointError, ProjectionError
+from .errors import ConditioningError, FocalPointError, IsoparError, ProjectionError
 from .polyfam import (
     IsoPolynomial,
     eval_F,
@@ -25,12 +26,19 @@ from .polyfam import (
     point_norm,
     profile_of,
 )
-from .symmat import SymmetricMatrix, eigensolve, max_abs, rho_k, scalar_or_stack
+from .symmat import SymmetricMatrix, eigh, max_abs, rho_k, scalar_or_stack
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
 MATCH_TOL = 1e-6
 PROJECTION_TOL = 1e-10  # level and path gates of level_project
+
+# Samples per kernel call on every block path (verify-cm, verify-hidden,
+# alpha-scan, spectrum): large enough to amortize the per-call overhead,
+# small enough that the (block, d, d) Hessian and frame stacks stay a
+# fraction of a megabyte.
+SAMPLE_BLOCK = 16
+_SAMPLE_PHRASE = re.compile(r"\(sample (\d+)\)")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
@@ -280,11 +288,34 @@ def _stacked(value):
 
 
 def _first_bad(ok, x):
-    """Index phrase for the first sample failing ok (None when all pass)."""
+    """The index of the first sample failing ok and a phrase naming it (empty
+    for a single point x), or None when all pass."""
     bad = ~np.asarray(ok)
     if not bad.any():
         return None
-    return f" (sample {np.argmax(bad)})" if np.ndim(x) == 2 else ""
+    i = int(np.argmax(bad))
+    return i, f" (sample {i})" if np.ndim(x) == 2 else ""
+
+
+def in_blocks(count: int, evaluate) -> list:
+    """[evaluate(block) for each slice of at most SAMPLE_BLOCK consecutive
+    sample indices], in order, the slices covering range(count).
+
+    A kernel names a failing row of its block as "(sample k)"; the error
+    is re-raised naming that row by its index in range(count)."""
+    parts = []
+    for start in range(0, count, SAMPLE_BLOCK):
+        block = slice(start, min(start + SAMPLE_BLOCK, count))
+        try:
+            parts.append(evaluate(block))
+        except (IsoparError, ValueError) as exc:
+            exc.args = (
+                _SAMPLE_PHRASE.sub(
+                    lambda m: f"(sample {start + int(m[1])})", str(exc)
+                ),
+            )
+            raise
+    return parts
 
 
 def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
@@ -298,16 +329,15 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"point has shape {x.shape}, expected (d,) or (N, d)")
-    where = _first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12, x)
-    if where is not None:
-        raise ValueError(f"x must lie on the unit sphere to 1e-12{where}")
+    bad = _first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12, x)
+    if bad is not None:
+        raise ValueError(f"x must lie on the unit sphere to 1e-12{bad[1]}")
     f, df, d2f = eval_jet(P, x)
-    inside = np.abs(f) <= 1.0 - EPS_FOCAL
-    where = _first_bad(inside, x)
-    if where is not None:
-        level = float(np.ravel(f)[np.argmax(~inside)])
+    bad = _first_bad(np.abs(f) <= 1.0 - EPS_FOCAL, x)
+    if bad is not None:
+        level = float(np.ravel(f)[bad[0]])
         raise FocalPointError(
-            f"level f = {level:.6f} is inside the focal band{where}", level=level
+            f"level f = {level:.6f} is inside the focal band{bad[1]}", level=level
         )
     grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
@@ -333,34 +363,25 @@ def cotangent_shift(g: int, m1: int, m2: int, t) -> tuple:
     return curvatures, tuple((m1, m2)[i % 2] for i in range(g))
 
 
-@dataclass(frozen=True)
-class MunznerReport:
-    match: bool
-    max_deviation: float
-    orientation_flipped: bool
-    expected: np.ndarray
+def munzner_check(frame: SpherePointFrame):
+    """Compare the shape spectrum of a frame, or of each frame of a stack,
+    against the cotangent-shift prediction for its own (g, m1, m2).
 
-
-def munzner_check(frame: SpherePointFrame) -> MunznerReport:
-    """Compare the shape spectrum against the cotangent-shift prediction for
-    the frame's own (g, m1, m2).
-
-    A match of the sign-flipped multiset is reported separately so an
-    orientation mismatch is distinguishable from a genuine failure.
+    Returns (max_deviation, orientation_flipped, expected): a float, a bool
+    and the n expected values, descending, for one frame, one of each per
+    row for a stack. orientation_flipped marks a row that matches only
+    after a global sign flip, so an orientation mismatch is told apart from
+    a genuine failure.
     """
     prof = frame.profile
-    expected = np.repeat(*cotangent_shift(prof.g, prof.m1, prof.m2, frame.f))
-    observed = eigensolve(frame.shape).values
-    dev = float(np.max(np.abs(observed - expected)))
-    flipped = np.sort(-expected)[::-1]
-    dev_flipped = float(np.max(np.abs(observed - flipped)))
-    match = dev <= MATCH_TOL
-    return MunznerReport(
-        match=match,
-        max_deviation=dev,
-        orientation_flipped=(not match) and dev_flipped <= MATCH_TOL,
-        expected=expected,
-    )
+    curvatures, mult = cotangent_shift(prof.g, prof.m1, prof.m2, frame.f)
+    expected = np.repeat(np.stack(curvatures, axis=-1), mult, axis=-1)
+    observed, _ = eigh(frame.shape.entries)
+    dev = np.max(np.abs(observed - expected), axis=-1)
+    flipped = np.sort(-expected, axis=-1)[..., ::-1]
+    dev_flipped = np.max(np.abs(observed - flipped), axis=-1)
+    orientation_flipped = ~(dev <= MATCH_TOL) & (dev_flipped <= MATCH_TOL)
+    return scalar_or_stack(dev), orientation_flipped, expected
 
 
 def munzner_qk(g: int, m1: int, m2: int, t: float, k: int) -> float:
@@ -479,12 +500,13 @@ brentq = landing_arc
 
 def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
     """Move x along its normal great circle to the level F = t_target and
-    return the landed unit point.
+    return the landed unit point, or land every row of an (N, d) block.
 
     F(cos s x + sin s nu) = cos(g (tau0 - s)) on the normal arc, so the
     landing arc is closed form. Both the landing level and, at 20
-    intermediate arcs in one block, the whole path are then verified
-    through eval_F; either missing PROJECTION_TOL raises ProjectionError.
+    intermediate arcs per row, the whole path are then verified through
+    eval_F; either missing PROJECTION_TOL raises ProjectionError, naming
+    the first failing row of a block.
     """
     x = np.asarray(x, dtype=float)
     if not abs(t_target) <= 1.0 - EPS_FOCAL:
@@ -492,26 +514,38 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
             f"target level {t_target} is not a regular level", level=t_target
         )
     f0 = eval_F(P, x)
-    if not abs(f0) <= 1.0 - EPS_FOCAL:
-        raise FocalPointError(f"start level {f0:.6f} is not regular", level=f0)
-    _, _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
-    tau0 = np.arccos(f0) / P.g
-    arc = landing_arc(tau0, t_target, P.g)
-    y = np.cos(arc) * x + np.sin(arc) * nu
-    y /= np.linalg.norm(y)
-    level_residual = abs(eval_F(P, y) - t_target)
-    if not level_residual <= PROJECTION_TOL:
-        raise ProjectionError(
-            f"projected level misses target by {level_residual:.3e}"
+    bad = _first_bad(np.abs(f0) <= 1.0 - EPS_FOCAL, x)
+    if bad is not None:
+        level = float(np.ravel(f0)[bad[0]])
+        raise FocalPointError(
+            f"start level {level:.6f} is not regular{bad[1]}", level=level
         )
-    # One eval_F on the (20, d) arc stack; np.max, unlike the builtin max,
-    # carries a NaN through to the gate.
-    s = np.linspace(min(0.0, arc), max(0.0, arc), 20)
-    arcs = np.cos(s)[:, None] * x + np.sin(s)[:, None] * nu
-    path_residual = np.max(np.abs(eval_F(P, arcs) - np.cos(P.g * (tau0 - s))))
-    if not path_residual <= PROJECTION_TOL:
+    _, _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
+    tau0 = np.asarray(np.arccos(f0) / P.g)
+    arc = np.asarray(landing_arc(tau0, t_target, P.g))
+    y = np.cos(arc)[..., None] * x + np.sin(arc)[..., None] * nu
+    y /= np.asarray(point_norm(y))[..., None]
+    level_residual = np.abs(eval_F(P, y) - t_target)
+    bad = _first_bad(level_residual <= PROJECTION_TOL, x)
+    if bad is not None:
         raise ProjectionError(
-            f"normal arc leaves cos(g (tau0 - s)) by {path_residual:.3e}"
+            f"projected level misses target by "
+            f"{np.ravel(level_residual)[bad[0]]:.3e}{bad[1]}"
+        )
+    # One eval_F on the (N 20, d) arc stack; np.max, unlike the builtin max,
+    # carries a NaN through to the gate.
+    s = np.linspace(np.minimum(0.0, arc), np.maximum(0.0, arc), 20, axis=-1)
+    arcs = np.cos(s)[..., None] * x[..., None, :]
+    arcs += np.sin(s)[..., None] * nu[..., None, :]
+    path = eval_F(P, arcs.reshape(-1, P.ambient_dim)) - np.ravel(
+        np.cos(P.g * (tau0[..., None] - s))
+    )
+    path_residual = np.max(np.abs(path).reshape(s.shape), axis=-1)
+    bad = _first_bad(path_residual <= PROJECTION_TOL, x)
+    if bad is not None:
+        raise ProjectionError(
+            f"normal arc leaves cos(g (tau0 - s)) by "
+            f"{np.ravel(path_residual)[bad[0]]:.3e}{bad[1]}"
         )
     return y
 

@@ -39,31 +39,21 @@ class SymmetricMatrix:
         if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         # One contiguous copy of a^T serves a - a^T and a^T + a (reading the
-        # strided transpose is the slow part). a - a^T is exactly
-        # antisymmetric, so its max is its largest |entry|; its buffer then
-        # takes |a| for the scale. A NaN or infinite entry makes the scale
-        # non-finite (and may make the asymmetry NaN), so a member passes
-        # only if its scale is finite and its asymmetry compares in bound.
+        # strided transpose is the slow part). |a| gives the scale; its
+        # buffer then takes a - a^T, which is exactly antisymmetric, so its
+        # max is its largest |entry|. A NaN or infinite entry makes the
+        # scale non-finite, and the difference (where inf - inf would warn)
+        # is then left to the error path.
         axes = (-2, -1)
         sym = np.swapaxes(a, -2, -1).copy()
-        diff = a - sym
-        skew = diff.max(axis=axes)
-        scale = np.abs(a, out=diff).max(axis=axes)
-        bad = ~(np.isfinite(scale) & (skew <= 1e-8 * np.maximum(1.0, scale)))
-        if bad.any():
-            i = int(np.argmax(bad))
-            where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
-            if not np.isfinite(np.ravel(scale)[i]):
-                member = a.reshape((-1,) + a.shape[-2:])[i]
-                r, c = np.argwhere(~np.isfinite(member))[0]
-                raise ValueError(
-                    f"matrix has a non-finite entry {member[r, c]} at "
-                    f"({r}, {c}){where}"
-                )
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry "
-                f"{np.ravel(skew)[i]:.3e}{where}"
-            )
+        buf = np.abs(a)
+        scale = buf.max(axis=axes)
+        if not (
+            np.isfinite(scale).all()
+            and (np.subtract(a, sym, out=buf).max(axis=axes)
+                 <= 1e-8 * np.maximum(1.0, scale)).all()
+        ):
+            raise _gate_error(a, sym, scale)
         sym += a
         sym /= 2.0
         sym.flags.writeable = False
@@ -78,6 +68,25 @@ class SymmetricMatrix:
         return scalar_or_stack(np.trace(self.entries, axis1=-2, axis2=-1))
 
 
+def _gate_error(a, sym, scale) -> ValueError:
+    """The symmetry gate's error for the first failing member of a: its
+    first non-finite entry by name, or its asymmetry."""
+    with np.errstate(invalid="ignore"):
+        skew = (a - sym).max(axis=(-2, -1))
+    bad = ~(np.isfinite(scale) & (skew <= 1e-8 * np.maximum(1.0, scale)))
+    i = int(np.argmax(bad))
+    where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
+    if not np.isfinite(np.ravel(scale)[i]):
+        member = a.reshape((-1,) + a.shape[-2:])[i]
+        r, c = np.argwhere(~np.isfinite(member))[0]
+        return ValueError(
+            f"matrix has a non-finite entry {member[r, c]} at ({r}, {c}){where}"
+        )
+    return ValueError(
+        f"matrix is not symmetric: max asymmetry {np.ravel(skew)[i]:.3e}{where}"
+    )
+
+
 def scalar_or_stack(value):
     """A Python float for one matrix or point, the array itself for a stack."""
     return float(value) if np.ndim(value) == 0 else value
@@ -87,6 +96,13 @@ def max_abs(residuals) -> float:
     """Largest |residual| over an array or a list of equal-shape arrays, 0.0
     for none; np.max, unlike the builtin max, returns a NaN, not drops it."""
     return float(np.max(np.abs(residuals), initial=0.0))
+
+
+def cluster_starts(w):
+    """Where a new cluster starts in descending eigenvalues w (or in each
+    row of a stack): after w[i - 1], wherever w[i - 1] - w[i] > CLUSTER_TOL.
+    Shaped (..., n - 1)."""
+    return w[..., :-1] - w[..., 1:] > CLUSTER_TOL
 
 
 @dataclass(frozen=True)
@@ -103,15 +119,12 @@ class Spectrum:
     @classmethod
     def from_values(cls, values):
         w = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-        groups = []
-        start = 0
-        for i in range(1, len(w) + 1):
-            if i == len(w) or w[i - 1] - w[i] > CLUSTER_TOL:
-                block = w[start:i]
-                groups.append((float(block.mean()), len(block)))
-                start = i
+        blocks = np.split(w, np.flatnonzero(cluster_starts(w)) + 1)
         w.flags.writeable = False
-        return cls(values=w, grouping=tuple(groups))
+        return cls(
+            values=w,
+            grouping=tuple((float(block.mean()), len(block)) for block in blocks),
+        )
 
     @property
     def order(self) -> int:

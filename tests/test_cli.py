@@ -4,7 +4,6 @@ Every invocation goes through cli.main(argv) in process; stdout is parsed
 back as JSON, so these double as schema checks.
 """
 
-import dataclasses
 import json
 import os
 import shlex
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isopar import cli, errors, polyfam, riccati, spherelevel
+from isopar import cli, errors, hopf, polyfam, riccati, spherelevel
 
 
 def run(capsys, argv):
@@ -178,7 +177,7 @@ class TestSampleBlocks:
     """verify-cm and verify-hidden evaluate their samples in blocks."""
 
     # two full blocks and a partial one
-    SAMPLES = 2 * cli._SAMPLE_BLOCK + 3
+    SAMPLES = 2 * spherelevel.SAMPLE_BLOCK + 3
 
     @pytest.mark.parametrize(
         "argv,sampler,kernel",
@@ -260,7 +259,7 @@ class TestSampleBlocks:
         code, _ = run(capsys, ["verify-cm", "--family", "cartan", "--m", "1",
                                "--samples", "200"])
         assert code == 0
-        blocks = -(-200 // cli._SAMPLE_BLOCK)
+        blocks = -(-200 // spherelevel.SAMPLE_BLOCK)
         # one contraction per block for each half of the suite (cm_residuals
         # on the ball, frame_at on the sphere), every sample in exactly one
         assert len(calls["eval_jet"]) == 2 * blocks
@@ -273,7 +272,7 @@ class TestSampleBlocks:
                                "--k", "2,3,4", "--samples", "200"])
         assert code == 0
         # every k of a block reads the same jet
-        assert len(calls["eval_jet"]) == -(-200 // cli._SAMPLE_BLOCK)
+        assert len(calls["eval_jet"]) == -(-200 // spherelevel.SAMPLE_BLOCK)
         assert sum(shape[0] for shape in calls["eval_jet"]) == 200
         assert calls["eval_grad"] == calls["eval_hessian"] == []
 
@@ -287,7 +286,7 @@ class TestSampleBlocks:
         assert len(doc["details"]) == 8  # five minor identities, three power sums
         # one Hessian for sigma_1..sigma_5, one jet for rho_2..rho_4
         hessians = calls["eval_jet"] + calls["eval_hessian"]
-        assert len(hessians) <= 2 * -(-200 // cli._SAMPLE_BLOCK)
+        assert len(hessians) <= 2 * -(-200 // spherelevel.SAMPLE_BLOCK)
         assert calls["eval_grad"] == []
 
 
@@ -574,24 +573,73 @@ class TestSpectrum:
         assert header.startswith("t,Q1")
 
     def test_nan_deviation_at_a_later_sample_fails(self, capsys, monkeypatch):
-        calls = []
+        # a NaN deviation in row 3 of the second block reaches the gate
+        rows = []
         check = cli.munzner_check
 
-        def poisoned(*args):
-            calls.append(None)
-            report = check(*args)
-            if len(calls) == 3:
-                return dataclasses.replace(report, max_deviation=float("nan"))
-            return report
+        def poisoned(frame):
+            deviation, flipped, expected = check(frame)
+            rows.append(len(deviation))
+            if len(rows) == 2:
+                deviation = deviation.copy()
+                deviation[3] = np.nan
+            return deviation, flipped, expected
 
         monkeypatch.setattr(cli, "munzner_check", poisoned)
+        block = spherelevel.SAMPLE_BLOCK
         code, doc = run_json(
             capsys, ["spectrum", "--family", "cartan", "--m", "1",
-                     "--samples", "5", "--level", "0.2"]
+                     "--samples", str(block + 5), "--level", "0.2"]
         )
         assert code == 1
-        assert len(calls) == 5
+        assert rows == [block, 5]
         assert doc["details"][0]["residual"] == "nan"
+
+    @pytest.mark.parametrize(
+        "argv,module",
+        [
+            (["spectrum", "--family", "cartan", "--m", "1", "--level", "0.2"], cli),
+            (["alpha-scan", "--family", "fkm", "--m", "2", "--r", "4",
+              "--level", "0.2"], hopf),
+        ],
+        ids=["spectrum", "alpha-scan"],
+    )
+    @pytest.mark.parametrize("failure", ["focal", "projection"])
+    def test_failing_sample_is_named(self, capsys, monkeypatch, argv, module, failure):
+        # sample k = SAMPLE_BLOCK + 3 sits in row 3 of the second block; the
+        # error names it by its index among all samples
+        k = spherelevel.SAMPLE_BLOCK + 3
+        if failure == "focal":
+            draw = module.regular_sphere_points
+
+            def with_focal_point(P, *args, **kwargs):
+                pts = draw(P, *args, **kwargs)
+                # cartan: F(e_0) = 1; fkm: an eigenvector of A_0 has F = -1
+                z = np.eye(P.ambient_dim)[0]
+                if P.system is not None:
+                    z = z + P.system.generators[0][:, 0]
+                pts[k] = z / np.linalg.norm(z)
+                return pts
+
+            monkeypatch.setattr(module, "regular_sphere_points", with_focal_point)
+            error = "FocalPointError"
+        else:
+            arc, calls = spherelevel.landing_arc, []
+
+            def missing_row_3(*args):
+                calls.append(None)
+                value = arc(*args)
+                return np.where(np.arange(len(value)) == 3, np.nan, value) if (
+                    len(calls) == 2
+                ) else value
+
+            monkeypatch.setattr(spherelevel, "landing_arc", missing_row_3)
+            error = "ProjectionError"
+        code, doc = run_json(capsys, argv + ["--samples", "40"])
+        assert code == 2
+        assert doc["pass"] is False
+        assert doc["error"]["type"] == error
+        assert doc["error"]["message"].endswith(f"(sample {k})")
 
     def test_focal_level_is_usage_error(self, capsys):
         code, doc = run_json(

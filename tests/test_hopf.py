@@ -21,12 +21,13 @@ from isopar.hopf import (
 )
 from isopar.polyfam import eval_F, make_fkm, make_ot
 from isopar.spherelevel import (
+    SAMPLE_BLOCK,
     frame_at,
     level_project,
     orthonormal_complement,
     regular_sphere_points,
 )
-from isopar.symmat import SymmetricMatrix, sigma_k, vandermonde_solve
+from isopar.symmat import SymmetricMatrix, eigh, sigma_k, vandermonde_solve
 
 _cache = {}
 
@@ -181,10 +182,15 @@ class TestOmega:
 class TestAlpha:
     @pytest.mark.parametrize("name", CONTEXT_NAMES)
     def test_closed_matches_geometric(self, name):
+        # the geometric route: alpha = -H_f(Jnu, Jnu) / |grad f| from the
+        # frame's raw Hessian
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 10, 79):
-            pair = alpha_at(ctx, frame_at(ctx.P, x))
-            assert pair.difference < 1e-9
+            frame = frame_at(ctx.P, x)
+            closed, _ = alpha_at(ctx, frame)
+            jnu = ctx.J.matrix @ frame.nu
+            geometric = -frame.hessian_in(jnu[None, :])[0, 0] / frame.grad_norm
+            assert abs(closed - geometric) < 1e-9
 
     def test_m1_alpha_constant_per_level(self):
         ctx = context("fkm13-block")
@@ -192,7 +198,7 @@ class TestAlpha:
             values = []
             for x in regular_sphere_points(ctx.P, 15, 83):
                 y = level_project(ctx.P, x, level)
-                values.append(alpha_at(ctx, frame_at(ctx.P, y)).closed)
+                values.append(alpha_at(ctx, frame_at(ctx.P, y))[0])
             assert np.std(values) < 1e-7
 
     def test_m1_alpha_level_zero_value(self):
@@ -200,7 +206,7 @@ class TestAlpha:
         ctx = context("fkm13-block")
         x = regular_sphere_points(ctx.P, 1, 84)[0]
         y = level_project(ctx.P, x, 0.0)
-        alpha = alpha_at(ctx, frame_at(ctx.P, y)).closed
+        alpha, _ = alpha_at(ctx, frame_at(ctx.P, y))
         assert alpha == pytest.approx(2.0, abs=1e-9)
 
     def test_scan_evaluates_one_hessian_per_sample(self, monkeypatch):
@@ -221,39 +227,44 @@ class TestAlpha:
                     module, name, None
                 ) is original:
                     monkeypatch.setattr(module, name, wrapper)
-        records, _ = alpha_scan(ctx, 0.3, 7, 89)
-        assert len(records) == 7
-        # the Hessian reaches the scan only through the frame's one jet
-        assert len(calls["eval_jet"]) == 7
+        samples = 2 * SAMPLE_BLOCK + 3
+        scan, _ = alpha_scan(ctx, 0.3, samples, 89)
+        assert len(scan.alpha) == samples
+        # the Hessian reaches the scan only through the frames' one jet per
+        # block, every sample in exactly one block
+        assert [np.shape(x) for x in calls["eval_jet"]] == [
+            (SAMPLE_BLOCK, 8), (SAMPLE_BLOCK, 8), (3, 8)
+        ]
         assert calls["eval_hessian"] == []
 
     def test_m2_alpha_varies(self):
         ctx = context("fkm24-block")
-        records, summary = alpha_scan(ctx, 0.0, 40, 89)
+        _, summary = alpha_scan(ctx, 0.0, 40, 89)
         assert summary["max"] - summary["min"] > 3.0
 
     def test_witness_alpha_is_plus_minus_two(self):
         # Omega = +-128 at F = 0 forces alpha = +-128/64 = +-2
         ctx = context("fkm24-block")
         z_plus, z_minus = witness_points(ctx)
-        alpha_plus = alpha_at(ctx, frame_at(ctx.P, z_plus)).closed
-        alpha_minus = alpha_at(ctx, frame_at(ctx.P, z_minus)).closed
+        alpha_plus, _ = alpha_at(ctx, frame_at(ctx.P, z_plus))
+        alpha_minus, _ = alpha_at(ctx, frame_at(ctx.P, z_minus))
         assert alpha_plus == pytest.approx(2.0, abs=1e-10)
         assert alpha_minus == pytest.approx(-2.0, abs=1e-10)
 
     def test_scan_calls_alpha_once_per_sample(self, monkeypatch):
-        # the weight count reads the eigenprojection only, not alpha again
+        # one alpha per row: one call per block, on that block's frame
+        # stack; the weight count reads the eigenprojection only
         ctx = context("fkm24-block")
         calls = []
 
         def counted(ctx, frame):
-            calls.append(frame)
+            calls.append(np.shape(frame.f))
             return alpha_at(ctx, frame)
 
         monkeypatch.setattr(hopf, "alpha_at", counted)
-        records, _ = alpha_scan(ctx, 0.3, 7, 89)
-        assert len(records) == 7
-        assert len(calls) == 7
+        scan, _ = alpha_scan(ctx, 0.3, SAMPLE_BLOCK + 7, 89)
+        assert len(scan.alpha) == SAMPLE_BLOCK + 7
+        assert calls == [(SAMPLE_BLOCK,), (7,)]
 
 
 class TestBlocks:
@@ -277,7 +288,7 @@ class TestBlocks:
         ctx = context(name)
         for x in regular_sphere_points(ctx.P, 8, 101):
             frame = frame_at(ctx.P, x)
-            alpha = alpha_at(ctx, frame).closed
+            alpha, _ = alpha_at(ctx, frame)
             s, st = frame.shape, hopf_blocks(ctx, frame)
             assert sigma_k(s, 1) == pytest.approx(sigma_k(st, 1), abs=1e-7)
             assert sigma_k(s, 2) == pytest.approx(sigma_k(st, 2) - 1.0, abs=1e-7)
@@ -316,7 +327,7 @@ class TestPhiDecomposition:
             dec = phi_decomposition(ctx, frame)
             assert len(dec.lambdas) == ctx.P.g
             lam, phi = np.array(dec.lambdas), np.array(dec.phi_sq)
-            alpha = alpha_at(ctx, frame).closed
+            alpha, _ = alpha_at(ctx, frame)
             moments = [lam**k @ phi for k in range(4)]
             for res in np.subtract(moments, [1.0, 0.0, 1.0, alpha]):
                 assert abs(res) < 1e-8
@@ -329,7 +340,7 @@ class TestPhiDecomposition:
         for x in regular_sphere_points(ctx.P, 6, 107):
             frame = frame_at(ctx.P, x)
             dec = phi_decomposition(ctx, frame)
-            alpha = alpha_at(ctx, frame).closed
+            alpha, _ = alpha_at(ctx, frame)
             phi_m = vandermonde_solve(dec.lambdas, [1.0, 0.0, 1.0, alpha])
             assert len(phi_m) == ctx.P.g
             assert np.max(np.abs(np.subtract(dec.phi_sq, phi_m))) < 1e-8
@@ -339,3 +350,110 @@ class TestPhiDecomposition:
         x = regular_sphere_points(ctx.P, 1, 109)[0]
         dec = phi_decomposition(ctx, frame_at(ctx.P, x))
         assert 1 <= dec.l <= ctx.P.g
+
+
+def _merged(row, block=0):
+    """hopf.eigh with every eigenvalue of one row of the block-th call set to
+    its first: that row's spectrum is then a single cluster."""
+    calls = []
+
+    def merged(matrix):
+        w, v = eigh(matrix)
+        if len(calls) == block:
+            w = w.copy()
+            w[row] = w[row, 0]
+        calls.append(None)
+        return w, v
+
+    return merged
+
+
+class TestBlockRows:
+    """Each row of a frame stack gets Omega, alpha and the decomposition of
+    the single frame, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 3, 16, 50])
+    @pytest.mark.parametrize("name", CONTEXT_NAMES)
+    def test_rows_match_single_frames(self, name, size):
+        # frames on levels spread over [-0.85, 0.85]; alpha also equals the
+        # closed form in Python floats (libm's pow) bit for bit
+        ctx = context(name)
+        g = float(ctx.g)
+        frames = frame_at(ctx.P, regular_sphere_points(ctx.P, size, 151, f_bound=0.85))
+        omega = omega_direct(ctx, frames)
+        alpha, alpha_omega = alpha_at(ctx, frames)
+        dec = phi_decomposition(ctx, frames)
+        assert omega.shape == alpha.shape == dec.l.shape == (size,)
+        assert np.array_equal(alpha_omega, omega)
+        for i, y in enumerate(frames.point):
+            frame = frame_at(ctx.P, y)
+            single = phi_decomposition(ctx, frame)
+            F = frame.f
+            assert omega[i] == omega_direct(ctx, frame)
+            assert alpha[i] == alpha_at(ctx, frame)[0]
+            assert alpha[i] == (g**3 * F * (3.0 - 2.0 * F * F) + omega[i]) / (
+                g**3 * (1.0 - F * F) ** 1.5
+            )
+            assert dec.l[i] == single.l
+            assert np.array_equal(dec.lambdas[i], single.lambdas)
+            assert np.array_equal(dec.phi_sq[i], single.phi_sq)
+
+    @pytest.mark.parametrize("name", CONTEXT_NAMES)
+    def test_scan_columns_match_single_points(self, name):
+        # 50 samples: three full blocks and a partial one
+        ctx = context(name)
+        scan, summary = alpha_scan(ctx, 0.3, 50, 157)
+        assert np.array_equal(scan.index, np.arange(50))
+        assert np.array_equal(scan.level, np.full(50, 0.3))
+        assert summary["max"] == np.max(scan.alpha)
+        for i, x in enumerate(regular_sphere_points(ctx.P, 50, 157, f_bound=0.85)):
+            frame = frame_at(ctx.P, level_project(ctx.P, x, 0.3))
+            assert (scan.alpha[i], scan.omega[i]) == alpha_at(ctx, frame)
+            assert scan.l[i] == phi_decomposition(ctx, frame).l
+
+    @pytest.mark.parametrize("name", CONTEXT_NAMES)
+    def test_weights_match_the_cluster_loop(self, name):
+        # the reference: slice the descending spectrum at every gap above
+        # CLUSTER_TOL and sum each slice; the masked sums add the same terms
+        # in another order, so they agree to a few ulps of the unit total
+        ctx = context(name)
+        frames = frame_at(ctx.P, regular_sphere_points(ctx.P, 20, 167))
+        dec = phi_decomposition(ctx, frames)
+        w, vecs = eigh(frames.shape.entries)
+        jx = np.einsum("nij,jk,nk->ni", frames.tangent_basis, ctx.J.matrix, frames.point)
+        for i in range(20):
+            cuts = np.flatnonzero(w[i, :-1] - w[i, 1:] > 1e-6) + 1
+            coords = vecs[i].T @ jx[i]
+            lambdas = [part.mean() for part in np.split(w[i], cuts)]
+            phi_sq = [np.sum(part**2) for part in np.split(coords, cuts)]
+            assert len(phi_sq) == ctx.g
+            assert np.max(np.abs(dec.phi_sq[i] - phi_sq)) <= 1e-15
+            assert np.max(np.abs(dec.lambdas[i] - lambdas)) <= 1e-14 * np.max(np.abs(w[i]))
+            assert dec.l[i] == np.count_nonzero(np.array(phi_sq) > 1e-6)
+
+    def test_split_row_gets_minus_one(self, monkeypatch):
+        ctx = context("fkm24-block")
+        frames = frame_at(ctx.P, regular_sphere_points(ctx.P, 5, 149))
+        clean = phi_decomposition(ctx, frames)
+        assert (clean.l >= 1).all()
+        monkeypatch.setattr(hopf, "eigh", _merged(3))
+        dec = phi_decomposition(ctx, frames)
+        assert dec.l[3] == -1
+        assert np.isnan(dec.lambdas[3]).all() and np.isnan(dec.phi_sq[3]).all()
+        rest = [0, 1, 2, 4]
+        assert np.array_equal(dec.l[rest], clean.l[rest])
+        assert np.array_equal(dec.lambdas[rest], clean.lambdas[rest])
+        assert np.array_equal(dec.phi_sq[rest], clean.phi_sq[rest])
+
+    def test_split_sample_in_a_later_block(self, monkeypatch):
+        # sample SAMPLE_BLOCK + 3 sits in row 3 of the second block
+        ctx = context("fkm24-block")
+        clean, _ = alpha_scan(ctx, 0.2, 40, 163)
+        monkeypatch.setattr(hopf, "eigh", _merged(3, block=1))
+        scan, _ = alpha_scan(ctx, 0.2, 40, 163)
+        k = SAMPLE_BLOCK + 3
+        assert scan.l[k] == -1
+        rest = np.arange(40) != k
+        assert np.array_equal(scan.l[rest], clean.l[rest])
+        assert np.array_equal(scan.alpha, clean.alpha)
+        assert np.array_equal(scan.omega, clean.omega)

@@ -11,8 +11,10 @@ from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
 from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot, profile_of
 from isopar.spherelevel import (
+    SAMPLE_BLOCK,
     cotangent_shift,
     frame_at,
+    in_blocks,
     level_project,
     munzner_check,
     munzner_q1_closed,
@@ -36,8 +38,10 @@ def family(name):
         _cache[name] = {
             "cartan1": lambda: make_cartan(1),
             "cartan2": lambda: make_cartan(2),
+            "cartan8": lambda: make_cartan(8),
             "fkm24": lambda: make_fkm(2, 4),
             "ot1": lambda: make_ot(1),
+            "ot3": lambda: make_ot(3),
         }[name]()
     return _cache[name]
 
@@ -374,11 +378,9 @@ class TestMunznerSpectrum:
     def test_spectrum_matches_prediction(self, name):
         fam = family(name)
         for x in regular_sphere_points(fam, 10, 23):
-            frame = frame_at(fam, x)
-            report = munzner_check(frame)
-            assert report.match, report.max_deviation
-            assert report.max_deviation < 1e-6
-            assert not report.orientation_flipped
+            deviation, flipped, _ = munzner_check(frame_at(fam, x))
+            assert deviation < 1e-6
+            assert not flipped
 
     def test_expected_values_against_cotangents(self):
         # independent recomputation of the prediction at a fixed level
@@ -513,9 +515,10 @@ class TestLevelProjection:
                 assert np.max(path) < 1e-12
 
     def test_three_evaluations_per_projection(self, monkeypatch):
-        # start level, landing level, and the 20 path points as one block
+        # start level, landing level, and the 20 path points of every row
+        # as one block
         fam = family("fkm24")
-        x = regular_sphere_points(fam, 1, 41)[0]
+        pts = regular_sphere_points(fam, 5, 41)
         calls = []
 
         def counted(P, y):
@@ -523,8 +526,11 @@ class TestLevelProjection:
             return eval_F(P, y)
 
         monkeypatch.setattr(spherelevel, "eval_F", counted)
-        level_project(fam, x, 0.3)
+        level_project(fam, pts[0], 0.3)
         assert calls == [(8,), (8,), (20, 8)]
+        calls.clear()
+        level_project(fam, pts, 0.3)
+        assert calls == [(5, 8), (5, 8), (100, 8)]
 
     def test_rejects_focal_target(self):
         fam = family("cartan1")
@@ -568,6 +574,91 @@ class TestLevelProjection:
         monkeypatch.setattr(spherelevel, "eval_F", eval_f)
         with pytest.raises(ProjectionError, match="normal arc"):
             level_project(fam, x, 0.2)
+
+
+BLOCK_FAMILIES = ["cartan1", "cartan8", "fkm24", "ot3"]
+
+
+class TestBlockRows:
+    """Each row of a block equals the single-point call bit for bit, and a
+    failing row is named."""
+
+    @pytest.mark.parametrize("size", [1, 3, 16, 50])
+    @pytest.mark.parametrize("name", BLOCK_FAMILIES)
+    def test_level_project_rows(self, name, size):
+        fam = family(name)
+        pts = regular_sphere_points(fam, size, 131, f_bound=0.85)
+        landed = level_project(fam, pts, 0.3)
+        assert landed.shape == pts.shape
+        for i, x in enumerate(pts):
+            assert np.array_equal(landed[i], level_project(fam, x, 0.3))
+
+    @pytest.mark.parametrize("size", [1, 3, 16, 50])
+    @pytest.mark.parametrize("name", BLOCK_FAMILIES)
+    def test_munzner_check_rows(self, name, size):
+        fam = family(name)
+        pts = regular_sphere_points(fam, size, 137, f_bound=0.85)
+        ys = level_project(fam, pts, -0.2)
+        deviation, flipped, expected = munzner_check(frame_at(fam, ys))
+        assert deviation.shape == flipped.shape == (size,)
+        assert expected.shape == (size, fam.n)
+        for i, y in enumerate(ys):
+            dev, flip, exp = munzner_check(frame_at(fam, y))
+            assert deviation[i] == dev and flipped[i] == flip
+            assert np.array_equal(expected[i], exp)
+
+    def test_focal_row_is_named(self):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 5, 139)
+        pts[3] = np.eye(5)[0]  # F = u^3 = 1, the focal maximum
+        with pytest.raises(
+            FocalPointError, match=r"start level 1\.000000 is not regular \(sample 3\)"
+        ):
+            level_project(fam, pts, 0.2)
+
+    def test_missed_landing_row_is_named(self, monkeypatch):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 5, 139)
+        arc = spherelevel.landing_arc
+        monkeypatch.setattr(
+            spherelevel, "landing_arc",
+            lambda *a: np.where(np.arange(5) == 3, np.nan, arc(*a)),
+        )
+        with pytest.raises(ProjectionError, match=r"misses target by nan \(sample 3\)"):
+            level_project(fam, pts, 0.2)
+
+    def test_path_row_is_named(self, monkeypatch):
+        # F is exact everywhere but on the 20 arc points of row 3
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 5, 139)
+        calls = []
+
+        def eval_f(P, y):
+            calls.append(y)
+            values = eval_F(P, y)
+            if len(calls) == 3:
+                values[60:80] = np.nan
+            return values
+
+        monkeypatch.setattr(spherelevel, "eval_F", eval_f)
+        with pytest.raises(ProjectionError, match=r"normal arc .* by nan \(sample 3\)"):
+            level_project(fam, pts, 0.2)
+
+    def test_blocks_cover_the_samples_in_order(self):
+        slices = in_blocks(50, lambda block: (block.start, block.stop))
+        assert SAMPLE_BLOCK == 16
+        assert slices == [(0, 16), (16, 32), (32, 48), (48, 50)]
+        assert in_blocks(0, lambda block: block) == []
+
+    def test_blocks_name_the_sample(self):
+        # a row of the second block is named by its index among all samples
+        def evaluate(block):
+            if block.start:
+                raise ProjectionError("missed (sample 3)")
+            return block
+
+        with pytest.raises(ProjectionError, match=r"^missed \(sample 19\)$"):
+            in_blocks(40, evaluate)
 
 
 class TestCsv:
