@@ -629,9 +629,9 @@ class TestSpectrum:
             def missing_row_3(*args):
                 calls.append(None)
                 value = arc(*args)
-                return np.where(np.arange(len(value)) == 3, np.nan, value) if (
-                    len(calls) == 2
-                ) else value
+                if len(calls) == 2:
+                    value = np.where(np.arange(len(value)) == 3, np.nan, value)
+                return value
 
             monkeypatch.setattr(spherelevel, "landing_arc", missing_row_3)
             error = "ProjectionError"
