@@ -67,9 +67,9 @@ from .spherelevel import (
     MATCH_TOL,
     frame_at,
     in_blocks,
+    level_power_sums,
     level_project,
     munzner_check,
-    munzner_rhobar,
     qk_recurrence_check,
     recurrence_table,
     regular_sphere_points,
@@ -270,15 +270,6 @@ def _member(family: str, m, r) -> IsoPolynomial:
     return make_ot(r)
 
 
-def _block_residuals(count: int, evaluate) -> np.ndarray:
-    """Residuals of `count` samples, evaluate(block) returning those of one
-    in_blocks slice of sample indices (leading axes are evaluate's, one per
-    row), joined along the sample axis."""
-    return np.concatenate(
-        [np.asarray(part) for part in in_blocks(count, evaluate)], axis=-1
-    )
-
-
 def _ball_points(dim: int, count: int, seed: int, radius: float) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pts = rng.standard_normal((count, dim))
@@ -318,7 +309,7 @@ def cmd_verify_cm(args, report):
             "spherical Laplacian of f vs the affine profile a(f)",
         ),
     ]
-    for (name, ref), res in zip(rows, _block_residuals(args.samples, residuals)):
+    for (name, ref), res in zip(rows, in_blocks(args.samples, residuals)):
         report.add(name, res, args.tol, ref)
 
 
@@ -384,7 +375,7 @@ def cmd_verify_hidden(args, report):
                 res[f"power-sum-closed-form-{k}"] = np.abs(rho) / scale
         return [res[name] for name, _, _ in rows]
 
-    for (name, tol, ref), res in zip(rows, _block_residuals(args.samples, residuals)):
+    for (name, tol, ref), res in zip(rows, in_blocks(args.samples, residuals)):
         report.add(name, res, tol, ref)
 
 
@@ -408,20 +399,16 @@ def cmd_alpha_scan(args, report):
     levels = args.level if args.level else [0.0]
     report.params.update(J=jtag, levels=",".join(f"{lv:g}" for lv in levels))
 
-    level_stats = []
-    scans = []
-    for level in levels:
-        scan, summary = alpha_scan(ctx, level, args.samples, report.seed)
-        level_stats.append({"level": level, **summary})
+    scan, summaries = alpha_scan(ctx, levels, args.samples, report.seed)
+    for summary in summaries:
         report.add(
-            f"alpha-spread-level={level:g}",
+            f"alpha-spread-level={summary['level']:g}",
             summary["max"] - summary["min"],
             None,
             "spread of the normal-torsion ratio over the level set "
             "(zero iff constant)",
         )
-        scans.append(scan)
-    report.extra["alpha"] = level_stats
+    report.extra["alpha"] = summaries
 
     witnesses = witness_points(ctx)
     if witnesses is not None:
@@ -441,7 +428,7 @@ def cmd_alpha_scan(args, report):
 
     return "alpha", lambda: (
         [f.name for f in fields(AlphaSample)],
-        (row for scan in scans for row in zip(*astuple(scan))),
+        zip(*astuple(scan)),
     )
 
 
@@ -567,9 +554,7 @@ def cmd_spectrum(args, report):
     def check(block):
         return munzner_check(frame_at(fam, level_project(fam, pts[block], level)))
 
-    deviation, flipped, expected = map(
-        np.concatenate, zip(*in_blocks(args.samples, check))
-    )
+    deviation, flipped, expected = in_blocks(args.samples, check)
     report.add(
         "spectrum-match", deviation, MATCH_TOL,
         "shape operator eigenvalues vs the cotangent-shift prediction",
@@ -609,10 +594,7 @@ def cmd_recurrences(args, report):
     )
     # Like riccati's moment rows, the path agreement is scaled by the largest
     # power sum it compares.
-    scale = float(np.max(np.abs([
-        munzner_rhobar(g, m1, m2, t, k) for t in map(float, grid)
-        for k in range(k_max + 1)
-    ])))
+    scale = float(np.max(np.abs(level_power_sums(g, m1, m2, grid, k_max)[1])))
     report.add(
         "rhobar-path-agreement", rhobar["path-agreement"] / scale, TOL_RECURRENCE,
         "rhobar_k from the curvature prediction vs rho_k of the Hessian at a "

@@ -75,16 +75,6 @@ class CliffordReport:
         return max_abs([self.anticommutation, self.symmetry, self.orthogonality])
 
 
-@dataclass(frozen=True)
-class CommutationEntry:
-    """How A_p J relates to J A_p, and which +-A_q the product equals."""
-
-    p: int
-    relation: str  # 'commute' | 'anticommute' | 'neither'
-    relation_residual: float
-    matches: tuple  # (label, residual) pairs with residual <= ENTRY_TOL scale
-
-
 def _freeze(a):
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
@@ -210,44 +200,3 @@ def build_complex_structure(tag: str, dim: int) -> ComplexStructure:
     if not residual <= ENTRY_TOL:
         raise ConstructionError(f"J relations violated (residual {residual:.3e})")
     return ComplexStructure(dim=dim, matrix=_freeze(j), tag=tag)
-
-
-def check_commutation_table(system: CliffordSystem, J: ComplexStructure, tol=1e-10):
-    """Classify A_p J against J A_p and identify products equal to +-A_q.
-
-    Returns a tuple of CommutationEntry, one per generator.
-    """
-    jm = J.matrix
-    if J.dim != system.dim:
-        raise ValueError(f"dimension mismatch: system {system.dim}, J {J.dim}")
-    entries = []
-    for p, a in enumerate(system.generators):
-        aj = a @ jm
-        ja = jm @ a
-        res_commute = float(np.max(np.abs(aj - ja)))
-        res_anti = float(np.max(np.abs(aj + ja)))
-        if res_commute <= tol:
-            relation, relation_residual = "commute", res_commute
-        elif res_anti <= tol:
-            relation, relation_residual = "anticommute", res_anti
-        else:
-            relation, relation_residual = "neither", min(res_commute, res_anti)
-        matches = []
-        for q, b in enumerate(system.generators):
-            for sign, label in ((1.0, f"+A{q}"), (-1.0, f"-A{q}")):
-                residual = float(np.max(np.abs(aj - sign * b)))
-                if residual <= tol:
-                    matches.append((label, residual))
-        for sign, label in ((1.0, "+J"), (-1.0, "-J")):
-            residual = float(np.max(np.abs(aj - sign * jm)))
-            if residual <= tol:
-                matches.append((label, residual))
-        entries.append(
-            CommutationEntry(
-                p=p,
-                relation=relation,
-                relation_residual=relation_residual,
-                matches=tuple(matches),
-            )
-        )
-    return tuple(entries)

@@ -8,7 +8,10 @@ vertical curvature alpha it determines, compresses the shape operator off
 the fibre direction J x, and decomposes J x over the curvature eigenspaces
 by eigenprojection. Each quantity has one route here; the oracles it is
 checked against live in the tests. Omega, alpha and the decomposition read
-a frame or a frame stack, alpha_scan SAMPLE_BLOCK samples at a time.
+a frame or a frame stack. alpha_scan draws its sample points once, projects
+them to each requested level, and frames them SAMPLE_BLOCK samples at a
+time through spherelevel.in_blocks, which names a failing sample by its
+index among all samples.
 """
 
 from __future__ import annotations
@@ -261,29 +264,40 @@ class AlphaSample:
     l: np.ndarray
 
 
-def alpha_scan(ctx: HopfContext, level: float, samples: int, seed: int):
-    """alpha, Omega and the weight count l at `samples` points projected to
-    the given level, projected, framed and decomposed SAMPLE_BLOCK rows at a
-    time. Returns (AlphaSample columns, summary stats of alpha)."""
+def alpha_scan(ctx: HopfContext, levels, samples: int, seed: int):
+    """alpha, Omega and the weight count l at `samples` points, drawn once
+    and projected to each level in turn, then framed and decomposed
+    SAMPLE_BLOCK rows at a time.
+
+    Returns the AlphaSample columns, level by level, and one summary of
+    alpha per level: its level, min, max, mean and std."""
     P = ctx.P
     pts = regular_sphere_points(P, samples, seed, f_bound=0.85)
 
-    def scan(block):
-        frames = frame_at(P, level_project(P, pts[block], level))
-        return *alpha_at(ctx, frames), phi_decomposition(ctx, frames).l
+    def scan(level):
+        def evaluate(block):
+            frames = frame_at(P, level_project(P, pts[block], level))
+            return *alpha_at(ctx, frames), phi_decomposition(ctx, frames).l
 
-    alpha, omega, l = map(np.concatenate, zip(*in_blocks(samples, scan)))
+        return in_blocks(samples, evaluate)
+
+    scans = [scan(level) for level in levels]
+    alpha, omega, l = map(np.concatenate, zip(*scans))
     columns = AlphaSample(
-        index=np.arange(samples),
-        level=np.full(samples, level),
+        index=np.tile(np.arange(samples), len(levels)),
+        level=np.repeat(levels, samples),
         alpha=alpha,
         omega=omega,
         l=l,
     )
-    summary = {
-        "min": float(alpha.min()),
-        "max": float(alpha.max()),
-        "mean": float(alpha.mean()),
-        "std": float(alpha.std()),
-    }
-    return columns, summary
+    summaries = [
+        {
+            "level": level,
+            "min": float(a.min()),
+            "max": float(a.max()),
+            "mean": float(a.mean()),
+            "std": float(a.std()),
+        }
+        for level, (a, _, _) in zip(levels, scans)
+    ]
+    return columns, summaries

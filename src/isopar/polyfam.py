@@ -29,7 +29,13 @@ from .clifford import (
 )
 from .errors import ConstructionError
 from .monomials import MonomialForm, norm_square_form, quadratic_form
-from .symmat import SymmetricMatrix, elementary_symmetric, rho_k, scalar_or_stack
+from .symmat import (
+    SymmetricMatrix,
+    elementary_symmetric,
+    first_bad,
+    rho_k,
+    scalar_or_stack,
+)
 
 XCHECK_SEED = 20240817
 XCHECK_POINTS = 100
@@ -419,10 +425,9 @@ def profile_of(P: IsoPolynomial) -> TransnormalProfile:
 
 def _nonzero_radius(x):
     radius = point_norm(x)
-    zero = np.asarray(radius) == 0.0
-    if zero.any():
-        where = f" (row {np.argmax(zero)})" if np.ndim(x) == 2 else ""
-        raise ValueError(f"x must be nonzero{where}")
+    bad = first_bad(np.asarray(radius) != 0.0)
+    if bad is not None:
+        raise ValueError(f"x must be nonzero{bad[1]}")
     return radius
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +26,14 @@ from .polyfam import (
     point_norm,
     profile_of,
 )
-from .symmat import SymmetricMatrix, eigh, max_abs, rho_k, scalar_or_stack
+from .symmat import (
+    SymmetricMatrix,
+    eigh,
+    first_bad,
+    max_abs,
+    rho_k,
+    scalar_or_stack,
+)
 
 EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
@@ -188,18 +195,16 @@ def orthonormal_complement(vectors) -> np.ndarray:
     The trailing dim - k columns of the complete Householder QR of the k
     input columns (LAPACK, deterministic, one stacked call). Raises
     ConditioningError when the input rows of any member are rank-deficient
-    (min |diag R| below 1e-8).
+    (min |diag R| below 1e-8), naming the first such member.
     """
     v = np.asarray(vectors, dtype=float)
     k = v.shape[-2]
     q, r = np.linalg.qr(np.swapaxes(v, -2, -1), mode="complete")
     gaps = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1)
-    bad = ~(gaps >= 1e-8)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f" (member {i} of the stack)" if v.ndim > 2 else ""
+    bad = first_bad(gaps >= 1e-8)
+    if bad is not None:
         raise ConditioningError(
-            f"rank-deficient input rows{where}", gap=float(np.ravel(gaps)[i])
+            f"rank-deficient input rows{bad[1]}", gap=float(np.ravel(gaps)[bad[0]])
         )
     return np.swapaxes(q[..., :, k:], -2, -1)
 
@@ -287,22 +292,15 @@ def _stacked(value):
     return np.asarray(value)[..., None, None]
 
 
-def _first_bad(ok, x):
-    """The index of the first sample failing ok and a phrase naming it (empty
-    for a single point x), or None when all pass."""
-    bad = ~np.asarray(ok)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return i, f" (sample {i})" if np.ndim(x) == 2 else ""
+def in_blocks(count: int, evaluate) -> tuple:
+    """The columns of evaluate over range(count), SAMPLE_BLOCK consecutive
+    samples at a time: evaluate(block) takes a slice of sample indices and
+    returns a sequence of columns, each with one leading entry per sample of
+    the block, and each column is joined along that axis over the blocks,
+    in order (no column for count = 0).
 
-
-def in_blocks(count: int, evaluate) -> list:
-    """[evaluate(block) for each slice of at most SAMPLE_BLOCK consecutive
-    sample indices], in order, the slices covering range(count).
-
-    A kernel names a failing row of its block as "(sample k)"; the error
-    is re-raised naming that row by its index in range(count)."""
+    A gate names a failing row of its block as "(sample k)" (first_bad); the
+    error is re-raised naming that row by its index in range(count)."""
     parts = []
     for start in range(0, count, SAMPLE_BLOCK):
         block = slice(start, min(start + SAMPLE_BLOCK, count))
@@ -315,7 +313,7 @@ def in_blocks(count: int, evaluate) -> list:
                 ),
             )
             raise
-    return parts
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
@@ -329,11 +327,11 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"point has shape {x.shape}, expected (d,) or (N, d)")
-    bad = _first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12, x)
+    bad = first_bad(np.abs(point_norm(x) - 1.0) <= 1e-12)
     if bad is not None:
         raise ValueError(f"x must lie on the unit sphere to 1e-12{bad[1]}")
     f, df, d2f = eval_jet(P, x)
-    bad = _first_bad(np.abs(f) <= 1.0 - EPS_FOCAL, x)
+    bad = first_bad(np.abs(f) <= 1.0 - EPS_FOCAL)
     if bad is not None:
         level = float(np.ravel(f)[bad[0]])
         raise FocalPointError(
@@ -384,14 +382,6 @@ def munzner_check(frame: SpherePointFrame):
     return scalar_or_stack(dev), orientation_flipped, expected
 
 
-def munzner_qk(g: int, m1: int, m2: int, t: float, k: int) -> float:
-    """Power sum Q_k(t) of the level-set principal curvatures, summed over
-    the m1 branches first, then the m2 branches."""
-    cots, mult = cotangent_shift(g, m1, m2, t)
-    # branches j, j + 2, ... share the multiplicity mult[j]
-    return sum(mult[j] * sum(c**k for c in cots[j::2]) for j in (0, 1))
-
-
 def munzner_q1_closed(g: int, m1: int, m2: int, t: float) -> float:
     """Closed form of Q_1 used as the recurrence seed."""
     return 0.5 * m1 * g * np.sqrt((1.0 + t) / (1.0 - t)) - 0.5 * m2 * g * np.sqrt(
@@ -399,50 +389,72 @@ def munzner_q1_closed(g: int, m1: int, m2: int, t: float) -> float:
     )
 
 
-def munzner_rhobar(g: int, m1: int, m2: int, t: float, k: int) -> float:
-    """Power sum of the ambient Hessian eigenvalues on the level-t set:
-    shifted curvature terms plus the fixed pair +-g(g-1)."""
+def level_power_sums(g: int, m1: int, m2: int, t, k_max: int) -> tuple:
+    """Power sums at every level of t, real or complex of any shape, for
+    k = 0..k_max along a new last axis: (Q, rhobar).
+
+    Q_k sums the k-th powers of the level-set principal curvatures, the m1
+    branches first, then the m2 branches. rhobar_k sums those of the ambient
+    Hessian eigenvalues on the level: the shifted curvatures
+    -g sqrt(1 - t^2) lambda + g t, then the fixed pair +-g(g - 1). The
+    powers are np.float_power, which calls libm's pow as a Python float's
+    power does; np.power's vectorised loop rounds some values differently
+    in the last bit.
+    """
+    t = np.asarray(t)
+    ks = np.arange(k_max + 1)
+
+    def powers(base):
+        return np.float_power(np.expand_dims(base, -1), ks)
+
+    curvatures, mult = cotangent_shift(g, m1, m2, t)
+    # branches j, j + 2, ... share the multiplicity mult[j]
+    q = sum(mult[j] * sum(map(powers, curvatures[j::2])) for j in (0, 1))
     stretch = g * np.sqrt(1.0 - t * t)
-    acc = 0.0
-    for lam, mult in zip(*cotangent_shift(g, m1, m2, t)):
-        acc += mult * (-stretch * lam + g * t) ** k
-    acc += float(g**k) * float((g - 1) ** k) * (1.0 + (-1.0) ** k)
-    return acc
+    rhobar = sum(
+        m * powers(-stretch * lam + g * t) for lam, m in zip(curvatures, mult)
+    )
+    # the pair contributes 2 (g (g - 1))^k at even k and cancels at odd k
+    return q, rhobar + 2.0 * (g * (g - 1)) ** ks * (1 - ks % 2)
 
 
-def _t_derivative(power_sum, t: float, k: int) -> float:
-    """d/dt of power_sum(t, k) as Im power_sum(t + ih, k)/h (complex step,
-    Squire & Trapp 1998): no difference is taken, so it is exact to roundoff."""
-    return float(np.imag(power_sum(complex(t, COMPLEX_STEP), k))) / COMPLEX_STEP
+def _sums_and_slopes(g: int, m1: int, m2: int, t, k_max: int) -> tuple:
+    """level_power_sums at the real levels t to order k_max + 1, and the
+    t-derivative of each table as Im sums(t + ih)/h (complex step, Squire &
+    Trapp 1998): no difference is taken, so it is exact to roundoff."""
+    stepped = level_power_sums(g, m1, m2, t + 1j * COMPLEX_STEP, k_max + 1)
+    return (
+        level_power_sums(g, m1, m2, t, k_max + 1),
+        tuple(np.imag(table) / COMPLEX_STEP for table in stepped),
+    )
 
 
-def _relative_residual(power_sum, t: float, k: int, rhs: float) -> float:
-    """|lhs - rhs| for lhs = power_sum(t, k + 1), relative to the size of its
-    terms. An odd-order sum cancels to roundoff of terms far above 1 (at t = 0
-    when m1 = m2), so the scale is max(1, |lhs|, the next even-order sum)."""
-    lhs = power_sum(t, k + 1)
-    scale = np.max([1.0, abs(lhs), power_sum(t, k + 2 - k % 2)])
-    return float(abs(lhs - rhs) / scale)
+def _recurrence_residual(sums, rhs) -> np.ndarray:
+    """|lhs - rhs| for lhs = sums[..., k + 1] and its prediction rhs[..., k - 1],
+    k = 1..K, relative to the size of its terms. An odd-order sum cancels to
+    roundoff of terms far above 1 (at t = 0 when m1 = m2), so the scale is
+    max(1, |lhs|, the next even-order sum); a NaN anywhere is kept."""
+    k = np.arange(1, rhs.shape[-1] + 1)
+    lhs = sums[..., k + 1]
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), sums[..., k + 2 - k % 2])
+    return np.abs(lhs - rhs) / scale
 
 
 def qk_recurrence_check(
     g: int, m1: int, m2: int, t_samples, k_max: int = 6
 ) -> float:
-    """Worst relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1},
-    with the derivative taken by complex step through munzner_qk."""
+    """Worst relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1}
+    over the levels t_samples, with the derivative taken by complex step."""
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max = {k_max} out of range [1, 8]")
-    qk = partial(munzner_qk, g, m1, m2)
-    residuals = []
-    for t in t_samples:
-        t = float(t)
-        if not -0.9 < t < 0.9:
-            raise ValueError(f"t = {t} outside (-0.9, 0.9)")
-        for k in range(1, k_max):
-            rhs = (g / k) * np.sqrt(1.0 - t * t) * _t_derivative(qk, t, k)
-            rhs -= qk(t, k - 1)
-            residuals.append(_relative_residual(qk, t, k, rhs))
-    return max_abs(residuals)
+    t = np.asarray(t_samples, dtype=float)
+    outside = ~((-0.9 < t) & (t < 0.9))
+    if outside.any():
+        raise ValueError(f"t = {t[outside][0]} outside (-0.9, 0.9)")
+    (q, _), (dq, _) = _sums_and_slopes(g, m1, m2, t, k_max)
+    k = np.arange(1, k_max)
+    rhs = (g / k) * np.sqrt(1.0 - t * t)[..., None] * dq[..., k] - q[..., k - 1]
+    return max_abs(_recurrence_residual(q, rhs))
 
 
 def rhobar_recurrence_check(
@@ -450,41 +462,38 @@ def rhobar_recurrence_check(
 ) -> dict:
     """Check the ambient-Hessian power sums along levels two ways.
 
-    Path (a) is the analytic eigenvalue-list formula; path (b) evaluates
-    rho_k of the actual Hessian at a point projected to each level. The
-    first-order recurrence in t, whose source term alternates with the
-    parity of k, is checked on path (a) with a complex-step derivative.
-    Returns the max-abs residuals by name: "recurrence" (relative),
-    "path-agreement" (a vs b), "seed-zero" (|rhobar_0 - (n + 2)|) and
-    "seed-one" (|rhobar_1 - (g^2/2)(m2 - m1)|).
+    Path (a) is the analytic eigenvalue-list formula (level_power_sums);
+    path (b) evaluates rho_k of the actual Hessian at a point projected to
+    each level. The first-order recurrence in t, whose source term
+    alternates with the parity of k, is checked on path (a) with a
+    complex-step derivative. Returns the max-abs residuals by name:
+    "recurrence" (relative), "path-agreement" (a vs b), "seed-zero"
+    (|rhobar_0 - (n + 2)|) and "seed-one" (|rhobar_1 - (g^2/2)(m2 - m1)|).
     """
     g, m1, m2 = P.g, P.m1, P.m2
-    n = P.n
-    rb = partial(munzner_rhobar, g, m1, m2)
+    t = np.asarray(t_samples, dtype=float)
+    ks = range(k_max + 1)
     x0 = regular_sphere_points(P, 1, seed)[0]
-    worst, agree, seed0, seed1 = [], [], [], []
-    for t in t_samples:
-        t = float(t)
-        hess = eval_hessian(P, level_project(P, x0, t))
-        ks = range(0, k_max + 1)
-        agree += [rb(t, k) - rho for k, rho in zip(ks, rho_k(hess, ks))]
-        seed0.append(rb(t, 0) - (n + 2.0))
-        seed1.append(rb(t, 1) - 0.5 * g * g * (m2 - m1))
-        for k in range(1, k_max):
-            source = 2.0 * float(g ** (k + 1)) * float((g - 1) ** k) * (g - 2.0)
-            source *= 1.0 if k % 2 == 1 else t
-            rhs = (
-                -(g * g / k) * (1.0 - t * t) * _t_derivative(rb, t, k)
-                - g * (g - 2.0) * t * rb(t, k)
-                + g * g * (g - 1.0) * rb(t, k - 1)
-                + source
-            )
-            worst.append(_relative_residual(rb, t, k, rhs))
+    rho = [
+        rho_k(eval_hessian(P, level_project(P, x0, level)), ks)
+        for level in map(float, t)
+    ]
+    (_, rb), (_, drb) = _sums_and_slopes(g, m1, m2, t, k_max)
+    k = np.arange(1, k_max)
+    source = 2.0 * g ** (k + 1) * (g - 1) ** k * (g - 2.0)
+    rhs = (
+        -(g * g / k) * (1.0 - t * t)[..., None] * drb[..., k]
+        - g * (g - 2.0) * t[..., None] * rb[..., k]
+        + g * g * (g - 1.0) * rb[..., k - 1]
+        + np.where(k % 2 == 1, source, source * t[..., None])
+    )
     return {
-        "recurrence": max_abs(worst),
-        "path-agreement": max_abs(agree),
-        "seed-zero": max_abs(seed0),
-        "seed-one": max_abs(seed1),
+        "recurrence": max_abs(_recurrence_residual(rb, rhs)),
+        "path-agreement": max_abs(
+            rb[..., : k_max + 1] - np.reshape(rho, t.shape + (k_max + 1,))
+        ),
+        "seed-zero": max_abs(rb[..., 0] - (P.n + 2.0)),
+        "seed-one": max_abs(rb[..., 1] - 0.5 * g * g * (m2 - m1)),
     }
 
 
@@ -514,7 +523,7 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
             f"target level {t_target} is not a regular level", level=t_target
         )
     f0 = eval_F(P, x)
-    bad = _first_bad(np.abs(f0) <= 1.0 - EPS_FOCAL, x)
+    bad = first_bad(np.abs(f0) <= 1.0 - EPS_FOCAL)
     if bad is not None:
         level = float(np.ravel(f0)[bad[0]])
         raise FocalPointError(
@@ -526,7 +535,7 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
     y = np.cos(arc)[..., None] * x + np.sin(arc)[..., None] * nu
     y /= np.asarray(point_norm(y))[..., None]
     level_residual = np.abs(eval_F(P, y) - t_target)
-    bad = _first_bad(level_residual <= PROJECTION_TOL, x)
+    bad = first_bad(level_residual <= PROJECTION_TOL)
     if bad is not None:
         raise ProjectionError(
             f"projected level misses target by "
@@ -541,7 +550,7 @@ def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
         np.cos(P.g * (tau0[..., None] - s))
     )
     path_residual = np.max(np.abs(path).reshape(s.shape), axis=-1)
-    bad = _first_bad(path_residual <= PROJECTION_TOL, x)
+    bad = first_bad(path_residual <= PROJECTION_TOL)
     if bad is not None:
         raise ProjectionError(
             f"normal arc leaves cos(g (tau0 - s)) by "
@@ -569,10 +578,6 @@ def recurrence_table(g, m1, m2, t_values, k_max=6):
         + [f"Q{k}" for k in range(1, k_max + 1)]
         + [f"rhobar{k}" for k in range(0, k_max + 1)]
     )
-    rows = [
-        [t]
-        + [munzner_qk(g, m1, m2, t, k) for k in range(1, k_max + 1)]
-        + [munzner_rhobar(g, m1, m2, t, k) for k in range(0, k_max + 1)]
-        for t in map(float, t_values)
-    ]
-    return header, rows
+    t = np.asarray(t_values, dtype=float)
+    q, rhobar = level_power_sums(g, m1, m2, t, k_max)
+    return header, np.column_stack([t, q[:, 1:], rhobar])

@@ -29,7 +29,8 @@ class SymmetricMatrix:
     (..., n, n); entries are symmetrized at construction.
 
     Rejects input whose asymmetry exceeds roundoff scale instead of silently
-    averaging away a bug; the gate is judged per matrix of a stack.
+    averaging away a bug; the gate is judged per matrix of a stack, and names
+    the first failing one as a sample (first_bad).
     """
 
     entries: np.ndarray
@@ -73,9 +74,9 @@ def _gate_error(a, sym, scale) -> ValueError:
     first non-finite entry by name, or its asymmetry."""
     with np.errstate(invalid="ignore"):
         skew = (a - sym).max(axis=(-2, -1))
-    bad = ~(np.isfinite(scale) & (skew <= 1e-8 * np.maximum(1.0, scale)))
-    i = int(np.argmax(bad))
-    where = f" (matrix {i} of the stack)" if a.ndim > 2 else ""
+    i, where = first_bad(
+        np.isfinite(scale) & (skew <= 1e-8 * np.maximum(1.0, scale))
+    )
     if not np.isfinite(np.ravel(scale)[i]):
         member = a.reshape((-1,) + a.shape[-2:])[i]
         r, c = np.argwhere(~np.isfinite(member))[0]
@@ -85,6 +86,21 @@ def _gate_error(a, sym, scale) -> ValueError:
     return ValueError(
         f"matrix is not symmetric: max asymmetry {np.ravel(skew)[i]:.3e}{where}"
     )
+
+
+def first_bad(ok):
+    """(i, where) for the first member of a stack failing ok, i its flat
+    index and where the phrase " (sample i)" naming it (empty for a single
+    point or matrix, where ok is a scalar), or None when all pass.
+
+    Every gate that judges a block or stack row by row names its failure
+    this way, so spherelevel.in_blocks can re-index any of them among all
+    samples."""
+    bad = ~np.asarray(ok)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, f" (sample {i})" if bad.ndim else ""
 
 
 def scalar_or_stack(value):

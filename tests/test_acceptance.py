@@ -200,11 +200,9 @@ def test_criterion_05_torsion_closed_form(capsys):
 
 
 def test_criterion_06_vertical_curvature_dichotomy(capsys):
-    worst_std = 0.0
-    for level in (-0.3, 0.0, 0.5):
-        _, summary = alpha_scan(CTX["fkm-1-3/block"], level, 50, SEED + 4)
-        worst_std = max(worst_std, summary["std"])
-    _, spread = alpha_scan(CTX["fkm-2-4/block"], 0.0, 200, SEED + 5)
+    _, summaries = alpha_scan(CTX["fkm-1-3/block"], [-0.3, 0.0, 0.5], 50, SEED + 4)
+    worst_std = max(summary["std"] for summary in summaries)
+    _, (spread,) = alpha_scan(CTX["fkm-2-4/block"], [0.0], 200, SEED + 5)
     variation = spread["max"] - spread["min"]
     ok = worst_std < 1e-7 and variation >= 3.0
     emit(

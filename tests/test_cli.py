@@ -692,10 +692,7 @@ class TestRecurrences:
         g, m1, m2 = fam.g, fam.m1, fam.m2
         grid = np.linspace(-0.8, 0.8, 9)
         rhobar = spherelevel.rhobar_recurrence_check(fam, grid, 6, 7)
-        scale = max(
-            abs(spherelevel.munzner_rhobar(g, m1, m2, float(t), k))
-            for t in grid for k in range(7)
-        )
+        scale = float(np.max(np.abs(spherelevel.level_power_sums(g, m1, m2, grid, 6)[1])))
         expected = [
             spherelevel.qk_recurrence_check(g, m1, m2, grid, 6),
             rhobar["recurrence"],
@@ -707,9 +704,13 @@ class TestRecurrences:
         assert doc["rhobar_scale"] == scale
 
     def test_nan_power_sum_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            spherelevel, "munzner_qk", lambda g, m1, m2, t, k: float("nan")
-        )
+        table = spherelevel.level_power_sums
+
+        def nan_q(g, m1, m2, t, k_max):
+            q, rhobar = table(g, m1, m2, t, k_max)
+            return np.full_like(q, np.nan), rhobar
+
+        monkeypatch.setattr(spherelevel, "level_power_sums", nan_q)
         code, doc = run_json(
             capsys, ["recurrences", "--family", "cartan", "--m", "1"]
         )

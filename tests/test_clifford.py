@@ -1,4 +1,4 @@
-"""Clifford systems and complex structures: defining relations and tables."""
+"""Clifford systems and complex structures: defining relations."""
 
 import math
 
@@ -17,7 +17,6 @@ from isopar.clifford import (
     build_complex_structure,
     build_ozeki_takeuchi_system,
     build_standard_system,
-    check_commutation_table,
     verify_clifford,
 )
 from isopar.errors import ConstructionError
@@ -139,29 +138,3 @@ class TestComplexStructures:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             build_complex_structure("nonsense", 8)
-
-
-class TestCommutationTable:
-    def test_standard_m2_block_J(self):
-        sys = build_standard_system(2, 4)
-        J = build_complex_structure(J_BLOCK, 8)
-        entries = check_commutation_table(sys, J)
-        assert len(entries) == 3
-        for entry in entries:
-            assert entry.relation in ("commute", "anticommute")
-            assert entry.relation_residual < 1e-12
-
-    def test_ozeki_takeuchi_right_i(self):
-        sys = build_ozeki_takeuchi_system(1)
-        J = build_complex_structure(J_RIGHT, 16)
-        entries = check_commutation_table(sys, J)
-        # the quaternionic generators commute or anticommute with right
-        # multiplication; every relation must be clean
-        for entry in entries:
-            assert entry.relation in ("commute", "anticommute")
-
-    def test_dimension_mismatch(self):
-        sys = build_standard_system(1, 2)
-        J = build_complex_structure(J_BLOCK, 8)
-        with pytest.raises(ValueError, match="mismatch"):
-            check_commutation_table(sys, J)

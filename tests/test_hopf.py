@@ -228,7 +228,7 @@ class TestAlpha:
                 ) is original:
                     monkeypatch.setattr(module, name, wrapper)
         samples = 2 * SAMPLE_BLOCK + 3
-        scan, _ = alpha_scan(ctx, 0.3, samples, 89)
+        scan, _ = alpha_scan(ctx, [0.3], samples, 89)
         assert len(scan.alpha) == samples
         # the Hessian reaches the scan only through the frames' one jet per
         # block, every sample in exactly one block
@@ -239,7 +239,7 @@ class TestAlpha:
 
     def test_m2_alpha_varies(self):
         ctx = context("fkm24-block")
-        _, summary = alpha_scan(ctx, 0.0, 40, 89)
+        _, (summary,) = alpha_scan(ctx, [0.0], 40, 89)
         assert summary["max"] - summary["min"] > 3.0
 
     def test_witness_alpha_is_plus_minus_two(self):
@@ -262,9 +262,35 @@ class TestAlpha:
             return alpha_at(ctx, frame)
 
         monkeypatch.setattr(hopf, "alpha_at", counted)
-        scan, _ = alpha_scan(ctx, 0.3, SAMPLE_BLOCK + 7, 89)
+        scan, _ = alpha_scan(ctx, [0.3], SAMPLE_BLOCK + 7, 89)
         assert len(scan.alpha) == SAMPLE_BLOCK + 7
         assert calls == [(SAMPLE_BLOCK,), (7,)]
+
+    def test_levels_share_one_draw(self, monkeypatch):
+        # three levels: the points are drawn once and projected to each,
+        # and each level's columns and summary equal its own scan
+        ctx = context("fkm24-block")
+        levels = [-0.4, 0.0, 0.3]
+        singles = [alpha_scan(ctx, [level], 20, 89) for level in levels]
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args[1:])
+            return regular_sphere_points(*args, **kwargs)
+
+        monkeypatch.setattr(hopf, "regular_sphere_points", counted)
+        scan, summaries = alpha_scan(ctx, levels, 20, 89)
+        assert draws == [(20, 89)]
+        assert np.array_equal(scan.index, np.tile(np.arange(20), 3))
+        assert np.array_equal(scan.level, np.repeat(levels, 20))
+        for i, (single, (summary,)) in enumerate(singles):
+            rows = slice(20 * i, 20 * (i + 1))
+            assert np.array_equal(scan.alpha[rows], single.alpha)
+            assert np.array_equal(scan.omega[rows], single.omega)
+            assert np.array_equal(scan.l[rows], single.l)
+            assert summaries[i] == summary
+            assert list(summary) == ["level", "min", "max", "mean", "std"]
+            assert summary["level"] == levels[i]
 
 
 class TestBlocks:
@@ -402,7 +428,7 @@ class TestBlockRows:
     def test_scan_columns_match_single_points(self, name):
         # 50 samples: three full blocks and a partial one
         ctx = context(name)
-        scan, summary = alpha_scan(ctx, 0.3, 50, 157)
+        scan, (summary,) = alpha_scan(ctx, [0.3], 50, 157)
         assert np.array_equal(scan.index, np.arange(50))
         assert np.array_equal(scan.level, np.full(50, 0.3))
         assert summary["max"] == np.max(scan.alpha)
@@ -448,9 +474,9 @@ class TestBlockRows:
     def test_split_sample_in_a_later_block(self, monkeypatch):
         # sample SAMPLE_BLOCK + 3 sits in row 3 of the second block
         ctx = context("fkm24-block")
-        clean, _ = alpha_scan(ctx, 0.2, 40, 163)
+        clean, _ = alpha_scan(ctx, [0.2], 40, 163)
         monkeypatch.setattr(hopf, "eigh", _merged(3, block=1))
-        scan, _ = alpha_scan(ctx, 0.2, 40, 163)
+        scan, _ = alpha_scan(ctx, [0.2], 40, 163)
         k = SAMPLE_BLOCK + 3
         assert scan.l[k] == -1
         rest = np.arange(40) != k

@@ -321,9 +321,9 @@ class TestBatchedKernels:
     def test_zero_row_is_named(self):
         pts = seeded_points(5, 4, 103)
         pts[2] = 0.0
-        with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
+        with pytest.raises(ValueError, match=r"nonzero \(sample 2\)$"):
             cm_residuals(family("cartan1"), pts)
-        with pytest.raises(ValueError, match=r"nonzero \(row 2\)"):
+        with pytest.raises(ValueError, match=r"nonzero \(sample 2\)$"):
             hidden_rho_residual(family("cartan1"), pts, (2,))
 
 

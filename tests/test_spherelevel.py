@@ -9,17 +9,25 @@ import pytest
 from isopar import spherelevel
 from isopar.cli import write_csv
 from isopar.errors import ConditioningError, FocalPointError, ProjectionError
-from isopar.polyfam import eval_F, eval_jet, make_cartan, make_fkm, make_ot, profile_of
+from isopar.polyfam import (
+    cm_residuals,
+    eval_F,
+    eval_jet,
+    make_cartan,
+    make_fkm,
+    make_ot,
+    profile_of,
+)
 from isopar.spherelevel import (
+    COMPLEX_STEP,
     SAMPLE_BLOCK,
     cotangent_shift,
     frame_at,
     in_blocks,
+    level_power_sums,
     level_project,
     munzner_check,
     munzner_q1_closed,
-    munzner_qk,
-    munzner_rhobar,
     orthonormal_complement,
     qk_recurrence_check,
     recurrence_table,
@@ -309,7 +317,7 @@ class TestFrameStacks:
 
         monkeypatch.setattr(spherelevel, "eval_jet", radial_at_row_1)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ConditioningError, match="member 1 of the stack"):
+            with pytest.raises(ConditioningError, match=r"\(sample 1\)$"):
                 frame_at(fam, pts)
 
     def test_complement_stack_matches_members(self):
@@ -326,7 +334,7 @@ class TestFrameStacks:
         rng = np.random.default_rng(41)
         vecs = rng.standard_normal((3, 2, 6))
         vecs[2, 1] = 2.0 * vecs[2, 0]
-        with pytest.raises(ConditioningError, match="member 2 of the stack"):
+        with pytest.raises(ConditioningError, match=r"\(sample 2\)$"):
             orthonormal_complement(vecs)
 
 
@@ -406,17 +414,81 @@ class TestMunznerSpectrum:
 
 
 
+# The scalar power sums that level_power_sums replaced, one level and one k
+# per call in numpy scalar arithmetic, kept as the table's oracle.
+def qk_oracle(g, m1, m2, t, k):
+    cots, mult = cotangent_shift(g, m1, m2, t)
+    # branches j, j + 2, ... share the multiplicity mult[j]
+    return sum(mult[j] * sum(c**k for c in cots[j::2]) for j in (0, 1))
+
+
+def rhobar_oracle(g, m1, m2, t, k):
+    stretch = g * np.sqrt(1.0 - t * t)
+    acc = 0.0
+    for lam, mult in zip(*cotangent_shift(g, m1, m2, t)):
+        acc += mult * (-stretch * lam + g * t) ** k
+    acc += float(g**k) * float((g - 1) ** k) * (1.0 + (-1.0) ** k)
+    return acc
+
+
+# (g, m1, m2) of cartan-1, cartan-8, fkm-1-3, fkm-2-4, fkm-1-64, ot-1, ot-3
+TABLE_CASES = [
+    (3, 1, 1), (3, 8, 8), (4, 1, 1), (4, 2, 1), (4, 1, 62), (4, 3, 4), (4, 3, 12)
+]
+TABLE_LEVELS = np.concatenate(
+    [np.linspace(-0.8, 0.8, n) for n in (1, 9, 33, 57)] + [[-0.95, -0.3, 0.0, 0.62, 0.95]]
+)
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("g,m1,m2", TABLE_CASES)
+    def test_table_equals_scalar_sums_bit_for_bit(self, g, m1, m2):
+        q, rhobar = level_power_sums(g, m1, m2, TABLE_LEVELS, 8)
+        assert q.shape == rhobar.shape == (len(TABLE_LEVELS), 9)
+        for i, t in enumerate(map(float, TABLE_LEVELS)):
+            for k in range(9):
+                assert q[i, k] == qk_oracle(g, m1, m2, t, k), (t, k)
+                assert rhobar[i, k] == rhobar_oracle(g, m1, m2, t, k), (t, k)
+
+    @pytest.mark.parametrize("g,m1,m2", TABLE_CASES)
+    def test_complex_step_derivatives_match_the_oracle(self, g, m1, m2):
+        # Q's complex table equals the scalar sums bit for bit. numpy's
+        # complex array products and powers round rhobar's differently in
+        # the last bits, so its slopes are held to 1e-14 of the level's
+        # largest sum (at most 1.9e-15 measured, on cartan-8).
+        ts = np.linspace(-0.8, 0.8, 33)
+        q, rhobar = level_power_sums(g, m1, m2, ts + 1j * COMPLEX_STEP, 7)
+        for i, t in enumerate(map(float, ts)):
+            step = complex(t, COMPLEX_STEP)
+            scale = max(1.0, *(abs(rhobar_oracle(g, m1, m2, t, k)) for k in range(8)))
+            for k in range(8):
+                assert q[i, k] == qk_oracle(g, m1, m2, step, k), (t, k)
+                slope = np.imag(rhobar_oracle(g, m1, m2, step, k)) / COMPLEX_STEP
+                deviation = abs(np.imag(rhobar[i, k]) / COMPLEX_STEP - slope)
+                assert deviation <= 1e-14 * scale, (t, k)
+
+    def test_any_shape_of_levels(self):
+        grid = np.linspace(-0.6, 0.6, 6)
+        q, rhobar = level_power_sums(4, 2, 1, grid.reshape(2, 3), 5)
+        assert q.shape == rhobar.shape == (2, 3, 6)
+        flat_q, flat_rhobar = level_power_sums(4, 2, 1, grid, 5)
+        assert np.array_equal(q.reshape(6, 6), flat_q)
+        assert np.array_equal(rhobar.reshape(6, 6), flat_rhobar)
+        one_q, one_rhobar = level_power_sums(4, 2, 1, 0.3, 5)
+        assert one_q.shape == one_rhobar.shape == (6,)
+
+
 class TestMoments:
     def test_q0_counts_terms(self):
         for g, m1, m2 in [(3, 1, 1), (4, 2, 1), (4, 3, 4)]:
             n = m1 * ((g + 1) // 2) + m2 * (g // 2)
-            assert munzner_qk(g, m1, m2, 0.2, 0) == pytest.approx(n)
+            assert level_power_sums(g, m1, m2, 0.2, 0)[0][0] == pytest.approx(n)
             assert n == g * (m1 + m2) // 2
 
     def test_q1_closed_form(self):
         for t in np.linspace(-0.8, 0.8, 7):
             for g, m1, m2 in [(3, 1, 1), (4, 2, 1), (4, 3, 4)]:
-                assert munzner_qk(g, m1, m2, t, 1) == pytest.approx(
+                assert level_power_sums(g, m1, m2, t, 1)[0][1] == pytest.approx(
                     munzner_q1_closed(g, m1, m2, t), abs=1e-10
                 )
 
@@ -426,15 +498,27 @@ class TestMoments:
     def test_rhobar_seeds(self):
         for g, m1, m2 in [(3, 1, 1), (4, 2, 1), (4, 3, 4)]:
             n = g * (m1 + m2) // 2
-            for t in (-0.5, 0.1, 0.62):
-                assert munzner_rhobar(g, m1, m2, t, 0) == pytest.approx(n + 2)
-                assert munzner_rhobar(g, m1, m2, t, 1) == pytest.approx(
-                    g * g * (m2 - m1) / 2.0, abs=1e-9
-                )
+            _, rhobar = level_power_sums(g, m1, m2, [-0.5, 0.1, 0.62], 1)
+            assert rhobar[:, 0] == pytest.approx(n + 2)
+            assert rhobar[:, 1] == pytest.approx(g * g * (m2 - m1) / 2.0, abs=1e-9)
 
     def test_cartan_rhobar2_constant(self):
-        for t in (-0.6, 0.0, 0.44):
-            assert munzner_rhobar(3, 1, 1, t, 2) == pytest.approx(126.0, abs=1e-4)
+        _, rhobar = level_power_sums(3, 1, 1, [-0.6, 0.0, 0.44], 2)
+        assert rhobar[:, 2] == pytest.approx(126.0, abs=1e-4)
+
+
+def nan_table(monkeypatch, which, bad_k):
+    """Patch spherelevel's level table so entry `which` (0: Q, 1: rhobar)
+    reads NaN at order bad_k, at real and complex levels alike."""
+    table = spherelevel.level_power_sums
+
+    def patched(g, m1, m2, t, k_max):
+        sums = list(table(g, m1, m2, t, k_max))
+        sums[which] = sums[which].copy()
+        sums[which][..., bad_k] = math.nan
+        return tuple(sums)
+
+    monkeypatch.setattr(spherelevel, "level_power_sums", patched)
 
 
 class TestRecurrences:
@@ -451,18 +535,15 @@ class TestRecurrences:
             qk_recurrence_check(3, 1, 1, [0.0], 9)
 
     def test_qk_recurrence_keeps_a_nan_power_sum(self, monkeypatch):
-        qk = spherelevel.munzner_qk
-        monkeypatch.setattr(
-            spherelevel, "munzner_qk",
-            lambda g, m1, m2, t, k: math.nan if k == 3 else qk(g, m1, m2, t, k),
-        )
+        nan_table(monkeypatch, 0, 3)
         assert math.isnan(qk_recurrence_check(3, 1, 1, self.ts, 6))
 
-    def test_relative_residual_keeps_a_nan_scale(self):
-        # lhs and rhs agree; only the scale term (the order-4 sum) is NaN
-        power_sum = lambda t, k: math.nan if k == 4 else 1.0
-        assert math.isnan(spherelevel._relative_residual(power_sum, 0.2, 2, 1.0))
-        assert spherelevel._relative_residual(lambda t, k: 1.0, 0.2, 2, 1.0) == 0.0
+    def test_relative_residual_keeps_a_nan_scale(self, monkeypatch):
+        # with k_max = 3 the order-4 sum enters only as the scale of the
+        # k = 2 residual, where lhs and rhs agree
+        assert qk_recurrence_check(3, 1, 1, self.ts, 3) < 1e-12
+        nan_table(monkeypatch, 0, 4)
+        assert math.isnan(qk_recurrence_check(3, 1, 1, self.ts, 3))
 
     @pytest.mark.parametrize(
         "bad_k,fields",
@@ -473,11 +554,7 @@ class TestRecurrences:
         ],
     )
     def test_rhobar_recurrence_keeps_a_nan_power_sum(self, monkeypatch, bad_k, fields):
-        rb = spherelevel.munzner_rhobar
-        monkeypatch.setattr(
-            spherelevel, "munzner_rhobar",
-            lambda g, m1, m2, t, k: math.nan if k == bad_k else rb(g, m1, m2, t, k),
-        )
+        nan_table(monkeypatch, 1, bad_k)
         report = rhobar_recurrence_check(family("cartan1"), [-0.3, 0.2], 6)
         assert set(report) == {"recurrence", "path-agreement", "seed-zero", "seed-one"}
         for name, value in report.items():
@@ -645,10 +722,17 @@ class TestBlockRows:
             level_project(fam, pts, 0.2)
 
     def test_blocks_cover_the_samples_in_order(self):
-        slices = in_blocks(50, lambda block: (block.start, block.stop))
+        # each column is joined over the blocks along its leading axis
+        def evaluate(block):
+            size = block.stop - block.start
+            return np.arange(block.start, block.stop), np.full((size, 2), block.start)
+
+        index, start = in_blocks(50, evaluate)
         assert SAMPLE_BLOCK == 16
-        assert slices == [(0, 16), (16, 32), (32, 48), (48, 50)]
-        assert in_blocks(0, lambda block: block) == []
+        assert np.array_equal(index, np.arange(50))
+        assert start.shape == (50, 2)
+        assert np.array_equal(start[:, 0], np.repeat([0, 16, 32, 48], [16, 16, 16, 2]))
+        assert in_blocks(0, evaluate) == ()
 
     def test_blocks_name_the_sample(self):
         # a row of the second block is named by its index among all samples
@@ -658,6 +742,39 @@ class TestBlockRows:
             return block
 
         with pytest.raises(ProjectionError, match=r"^missed \(sample 19\)$"):
+            in_blocks(40, evaluate)
+
+    @pytest.mark.parametrize(
+        "kernel,error,message",
+        [
+            ("asymmetric", ValueError, r"^matrix is not symmetric: .* \(sample 19\)$"),
+            ("non-finite", ValueError, r"^matrix has a non-finite entry nan .* \(sample 19\)$"),
+            ("rank-deficient", ConditioningError, r"^rank-deficient input rows \(sample 19\)$"),
+            ("zero-row", ValueError, r"^x must be nonzero \(sample 19\)$"),
+        ],
+    )
+    def test_every_row_gate_is_named_among_all_samples(self, kernel, error, message):
+        # member 19 of 40 is row 3 of the second block
+        rng = np.random.default_rng(43)
+        stack = rng.standard_normal((40, 4, 4))
+        stack += np.swapaxes(stack, -2, -1)
+        rows = rng.standard_normal((40, 2, 6))
+        points = regular_sphere_points(family("cartan1"), 40, 43)
+        if kernel == "asymmetric":
+            stack[19, 0, 1] += 1.0
+        elif kernel == "non-finite":
+            stack[19, 2, 3] = stack[19, 3, 2] = np.nan
+        elif kernel == "rank-deficient":
+            rows[19, 1] = 2.0 * rows[19, 0]
+        else:
+            points[19] = 0.0
+        evaluate = {
+            "asymmetric": lambda block: (SymmetricMatrix(stack[block]).entries,),
+            "non-finite": lambda block: (SymmetricMatrix(stack[block]).entries,),
+            "rank-deficient": lambda block: (orthonormal_complement(rows[block]),),
+            "zero-row": lambda block: cm_residuals(family("cartan1"), points[block]),
+        }[kernel]
+        with pytest.raises(error, match=message):
             in_blocks(40, evaluate)
 
 
@@ -672,4 +789,4 @@ class TestCsv:
         assert len(rows) == 1 + len(ts)
         # 17 significant digits reproduce the doubles bit for bit
         got = float(rows[1][1])
-        assert got == munzner_qk(4, 2, 1, float(rows[1][0]), 1)
+        assert got == qk_oracle(4, 2, 1, float(rows[1][0]), 1)

@@ -67,8 +67,7 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError) as err:
             SymmetricMatrix(stack)
         assert str(err.value) == (
-            f"matrix is not symmetric: max asymmetry {skew:.3e} "
-            "(matrix 2 of the stack)"
+            f"matrix is not symmetric: max asymmetry {skew:.3e} (sample 2)"
         )
 
     def test_non_finite_entry_rejected(self):
@@ -88,11 +87,11 @@ class TestSymmetricMatrix:
         stack = random_stack(3, 4, 9)
         stack[2, 1, 1] = np.nan
         with pytest.raises(
-            ValueError, match=r"non-finite entry nan at \(1, 1\) \(matrix 2 of"
+            ValueError, match=r"non-finite entry nan at \(1, 1\) \(sample 2\)$"
         ):
             SymmetricMatrix(stack)
         stack[1, 2, 0] += 1.0
-        with pytest.raises(ValueError, match="not symmetric.*matrix 1 of the stack"):
+        with pytest.raises(ValueError, match=r"not symmetric.*\(sample 1\)$"):
             SymmetricMatrix(stack)
 
     def test_rejects_non_square(self):
@@ -196,7 +195,7 @@ class TestStacks:
     def test_one_asymmetric_member_raises(self):
         stack = random_stack(5, 4, 21)
         stack[3, 0, 1] += 1e-3
-        with pytest.raises(ValueError, match=r"not symmetric.*matrix 3 of the stack"):
+        with pytest.raises(ValueError, match=r"not symmetric.*\(sample 3\)$"):
             SymmetricMatrix(stack)
 
     def test_gate_is_per_matrix(self):
@@ -205,7 +204,7 @@ class TestStacks:
         stack = random_stack(3, 4, 22)
         stack[0] *= 1e12
         stack[2, 1, 2] += 1e-6
-        with pytest.raises(ValueError, match="matrix 2 of the stack"):
+        with pytest.raises(ValueError, match=r"\(sample 2\)$"):
             SymmetricMatrix(stack)
 
     def test_shape_validation(self):
