@@ -523,7 +523,7 @@ def cmd_riccati(args, report):
     # noise^(1/m), so tied branches are excluded rather than mis-scored.
     distinct = len(set(zip(kappas, mu0)))
     if n <= 8 and distinct == n:
-        recovered = [moment_to_spectrum_evolution(fam, float(t)).values for t in grid]
+        recovered = [moment_to_spectrum_evolution(fam, float(t)) for t in grid]
         report.add(
             "moment-round-trip",
             np.abs(recovered - np.sort(closed)[:, ::-1]),

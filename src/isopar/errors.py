@@ -6,19 +6,12 @@ class IsoparError(Exception):
 
 
 class ConditioningError(IsoparError):
-    """Input too ill-conditioned to solve reliably; carries the bad gap."""
-
-    def __init__(self, message, gap=None):
-        super().__init__(message)
-        self.gap = gap
+    """Input too ill-conditioned to solve reliably; names the bad gap in its
+    message."""
 
 
 class IllPosedMomentsError(IsoparError):
     """Power sums not realizable by a real spectrum within tolerance."""
-
-    def __init__(self, message, imag_residual=None):
-        super().__init__(message)
-        self.imag_residual = imag_residual
 
 
 class NonFiniteError(IsoparError):
@@ -31,10 +24,6 @@ class ConstructionError(IsoparError):
 
 class FocalPointError(IsoparError):
     """Operation needs a regular level; the point sits in a focal band."""
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
 
 
 class ProjectionError(IsoparError):
@@ -51,10 +40,6 @@ class UnsupportedPairError(IsoparError):
 
 class BlowUpError(IsoparError):
     """Requested time is inside a blow-up band of the flow."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class IntegrationError(IsoparError):

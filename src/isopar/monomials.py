@@ -35,10 +35,11 @@ class MonomialForm:
         self.nvars = int(nvars)
         terms = list(terms)
         rows = [self._checked(expo) for expo, _ in terms]
-        self._set(
+        self._expo, self._coef = _merged(
             np.array(rows, dtype=EXPONENT_DTYPE).reshape(len(rows), self.nvars),
             [coeff for _, coeff in terms],
         )
+        self._factors = None
 
     @classmethod
     def _of(cls, nvars, expo, coef):
@@ -52,15 +53,6 @@ class MonomialForm:
         if len(expo) != self.nvars or any(not 0 <= e <= MAX_EXPONENT for e in expo):
             raise ValueError(f"bad exponent tuple {expo} for {self.nvars} variables")
         return expo
-
-    def _set(self, expo, coef):
-        self._expo, self._coef = _merged(expo, coef)
-        self._factors = None
-
-    def add(self, expo, coeff):
-        row = np.array([self._checked(expo)], dtype=EXPONENT_DTYPE)
-        self._set(np.vstack([self._expo, row]), np.append(self._coef, float(coeff)))
-        return self
 
     def _compiled(self):
         """Each term as its variable indices with repeats, one row per term,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConstructionError, IntegrationError
-from .symmat import Spectrum, max_abs, scalar_or_stack, spectrum_from_moments
+from .symmat import max_abs, scalar_or_stack, spectrum_from_moments
 
 BLOWUP_BAND = 1e-3
 OVERFLOW_LIMIT = 1e12
@@ -147,8 +147,7 @@ def _closed_table(fam: RiccatiFamily, t, form) -> np.ndarray:
         bad = float(t[~ok][0])
         raise BlowUpError(
             f"t = {bad} is outside the safe interval "
-            f"({fam.t_lower + BLOWUP_BAND:.6g}, {fam.t_upper - BLOWUP_BAND:.6g})",
-            time=fam.t_upper if bad > 0 else fam.t_lower,
+            f"({fam.t_lower + BLOWUP_BAND:.6g}, {fam.t_upper - BLOWUP_BAND:.6g})"
         )
     kappas, mu0 = np.array(fam.kappas), np.array(fam.mu0)
     table = form(mu0, *_jacobi_pair(kappas, mu0, t.reshape(-1)))
@@ -244,12 +243,6 @@ def _flow(fam: RiccatiFamily, t):
     return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.kappas)
 
 
-def gamma_derivative(fam: RiccatiFamily, t, i: int, j: int):
-    """Analytic d Gamma_ij / dt = i sum mu^(i-1) mu' kappa^j, shaped like
-    gamma_ij."""
-    return scalar_or_stack(_gamma_derivative(*_flow(fam, t), i, j))
-
-
 def check_power_sum_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 6) -> float:
     """Max residual of Q_(i+1) = (1/i) dQ_i/dt - Gamma_(i-1,1)."""
     mu, dmu, kappas = _flow(fam, t_samples)
@@ -321,9 +314,9 @@ def check_moment_chain(fam: RiccatiFamily, t_samples) -> dict:
     }
 
 
-def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> Spectrum:
-    """Recover the evolved curvature multiset at one time from its first n
-    power sums."""
+def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> np.ndarray:
+    """Recover the evolved curvatures at one time, sorted descending, from
+    their first n power sums."""
     n = len(fam.mu0)
     mu, kappas = evolve_closed(fam, t), np.array(fam.kappas)
     return spectrum_from_moments(

@@ -28,7 +28,7 @@ from .polyfam import (
 )
 from .symmat import (
     SymmetricMatrix,
-    eigh,
+    eigensolve,
     first_bad,
     max_abs,
     rho_k,
@@ -195,7 +195,7 @@ def orthonormal_complement(vectors) -> np.ndarray:
     The trailing dim - k columns of the complete Householder QR of the k
     input columns (LAPACK, deterministic, one stacked call). Raises
     ConditioningError when the input rows of any member are rank-deficient
-    (min |diag R| below 1e-8), naming the first such member.
+    (min |diag R| below 1e-8), naming the first such member and its gap.
     """
     v = np.asarray(vectors, dtype=float)
     k = v.shape[-2]
@@ -204,7 +204,8 @@ def orthonormal_complement(vectors) -> np.ndarray:
     bad = first_bad(gaps >= 1e-8)
     if bad is not None:
         raise ConditioningError(
-            f"rank-deficient input rows{bad[1]}", gap=float(np.ravel(gaps)[bad[0]])
+            f"rank-deficient input rows: min |diag R| "
+            f"{np.ravel(gaps)[bad[0]]:.3e}{bad[1]}"
         )
     return np.swapaxes(q[..., :, k:], -2, -1)
 
@@ -333,9 +334,8 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
     f, df, d2f = eval_jet(P, x)
     bad = first_bad(np.abs(f) <= 1.0 - EPS_FOCAL)
     if bad is not None:
-        level = float(np.ravel(f)[bad[0]])
         raise FocalPointError(
-            f"level f = {level:.6f} is inside the focal band{bad[1]}", level=level
+            f"level f = {np.ravel(f)[bad[0]]:.6f} is inside the focal band{bad[1]}"
         )
     grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
@@ -374,7 +374,7 @@ def munzner_check(frame: SpherePointFrame):
     prof = frame.profile
     curvatures, mult = cotangent_shift(prof.g, prof.m1, prof.m2, frame.f)
     expected = np.repeat(np.stack(curvatures, axis=-1), mult, axis=-1)
-    observed, _ = eigh(frame.shape.entries)
+    observed = eigensolve(frame.shape)
     dev = np.max(np.abs(observed - expected), axis=-1)
     flipped = np.sort(-expected, axis=-1)[..., ::-1]
     dev_flipped = np.max(np.abs(observed - flipped), axis=-1)
@@ -463,10 +463,11 @@ def rhobar_recurrence_check(
     """Check the ambient-Hessian power sums along levels two ways.
 
     Path (a) is the analytic eigenvalue-list formula (level_power_sums);
-    path (b) evaluates rho_k of the actual Hessian at a point projected to
-    each level. The first-order recurrence in t, whose source term
-    alternates with the parity of k, is checked on path (a) with a
-    complex-step derivative. Returns the max-abs residuals by name:
+    path (b) evaluates rho_k of the actual Hessian at one seeded point
+    projected to each level, SAMPLE_BLOCK levels per level_project,
+    eval_hessian and rho_k call. The first-order recurrence in t, whose
+    source term alternates with the parity of k, is checked on path (a)
+    with a complex-step derivative. Returns the max-abs residuals by name:
     "recurrence" (relative), "path-agreement" (a vs b), "seed-zero"
     (|rhobar_0 - (n + 2)|) and "seed-one" (|rhobar_1 - (g^2/2)(m2 - m1)|).
     """
@@ -474,10 +475,14 @@ def rhobar_recurrence_check(
     t = np.asarray(t_samples, dtype=float)
     ks = range(k_max + 1)
     x0 = regular_sphere_points(P, 1, seed)[0]
-    rho = [
-        rho_k(eval_hessian(P, level_project(P, x0, level)), ks)
-        for level in map(float, t)
-    ]
+    levels = t.ravel()
+
+    def hessian_sums(block):
+        y = level_project(P, x0, levels[block])
+        return (np.stack(rho_k(eval_hessian(P, y), ks), axis=-1),)
+
+    # one joined (levels, k_max + 1) column, none for no levels
+    rho = in_blocks(levels.size, hessian_sums)
     (_, rb), (_, drb) = _sums_and_slopes(g, m1, m2, t, k_max)
     k = np.arange(1, k_max)
     source = 2.0 * g ** (k + 1) * (g - 1) ** k * (g - 2.0)
@@ -507,27 +512,32 @@ def landing_arc(tau0: float, t_target: float, g: int) -> float:
 brentq = landing_arc
 
 
-def level_project(P: IsoPolynomial, x, t_target: float) -> np.ndarray:
+def level_project(P: IsoPolynomial, x, t_target) -> np.ndarray:
     """Move x along its normal great circle to the level F = t_target and
     return the landed unit point, or land every row of an (N, d) block.
+    t_target is one level, or an (N,) array of one level per row broadcast
+    against the rows: one point x then lands on each of the N levels.
 
     F(cos s x + sin s nu) = cos(g (tau0 - s)) on the normal arc, so the
     landing arc is closed form. Both the landing level and, at 20
     intermediate arcs per row, the whole path are then verified through
     eval_F; either missing PROJECTION_TOL raises ProjectionError, naming
-    the first failing row of a block.
+    the first failing row of a block. A focal target or start level raises
+    FocalPointError, naming its row the same way.
     """
     x = np.asarray(x, dtype=float)
-    if not abs(t_target) <= 1.0 - EPS_FOCAL:
+    t_target = np.asarray(t_target)
+    bad = first_bad(np.abs(t_target) <= 1.0 - EPS_FOCAL)
+    if bad is not None:
         raise FocalPointError(
-            f"target level {t_target} is not a regular level", level=t_target
+            f"target level {np.ravel(t_target)[bad[0]]} is not a regular "
+            f"level{bad[1]}"
         )
     f0 = eval_F(P, x)
     bad = first_bad(np.abs(f0) <= 1.0 - EPS_FOCAL)
     if bad is not None:
-        level = float(np.ravel(f0)[bad[0]])
         raise FocalPointError(
-            f"start level {level:.6f} is not regular{bad[1]}", level=level
+            f"start level {np.ravel(f0)[bad[0]]:.6f} is not regular{bad[1]}"
         )
     _, _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
     tau0 = np.asarray(np.arccos(f0) / P.g)

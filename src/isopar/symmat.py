@@ -3,8 +3,10 @@
 Elementary symmetric functions sigma_k and power sums rho_k of a spectrum,
 Newton's identities in both directions, one dense eigensolver (LAPACK),
 spectrum recovery from moments via a companion matrix, and a Bjorck-Pereyra
-solver for dual Vandermonde systems. Everything downstream (level-set
-invariants, shape operators, trace recurrences) reduces to these primitives.
+solver for dual Vandermonde systems. A spectrum is a plain array of
+eigenvalues sorted descending; cluster_starts is the one way to group it
+into near-equal values. Everything downstream (level-set invariants, shape
+operators, trace recurrences) reduces to these primitives.
 """
 
 from __future__ import annotations
@@ -121,38 +123,6 @@ def cluster_starts(w):
     return w[..., :-1] - w[..., 1:] > CLUSTER_TOL
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending, plus a clustering into near-equal groups.
-
-    grouping is a tuple of (representative value, multiplicity) pairs built
-    with gap tolerance CLUSTER_TOL.
-    """
-
-    values: np.ndarray
-    grouping: tuple
-
-    @classmethod
-    def from_values(cls, values):
-        w = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-        blocks = np.split(w, np.flatnonzero(cluster_starts(w)) + 1)
-        w.flags.writeable = False
-        return cls(
-            values=w,
-            grouping=tuple((float(block.mean()), len(block)) for block in blocks),
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def multiplicities(self) -> tuple:
-        return tuple(count for _, count in self.grouping)
-
-    def distinct(self) -> tuple:
-        return tuple(value for value, _ in self.grouping)
-
-
 def eigh(matrix):
     """Eigenvalues of a symmetric matrix (or a stack), descending, and the
     eigenvector columns in that order (LAPACK through np.linalg.eigh)."""
@@ -164,16 +134,16 @@ def eigh(matrix):
 eigh_jacobi = eigh
 
 
-def eigensolve(M: SymmetricMatrix) -> Spectrum:
-    """Full spectrum of M, clustered for multiplicity."""
-    w, _ = eigh(M.entries)
-    return Spectrum.from_values(w)
+def eigensolve(M: SymmetricMatrix) -> np.ndarray:
+    """Eigenvalues of M (one row per matrix of a stack), descending;
+    cluster_starts groups them by multiplicity."""
+    return eigh(M.entries)[0]
 
 
 def elementary_symmetric(M: SymmetricMatrix, k: int) -> np.ndarray:
     """sigma_0..sigma_k of the eigenvalues of M from one eigensolve, along a
     new last axis (one row per matrix of a stack)."""
-    w, _ = eigh(M.entries)
+    w = eigensolve(M)
     # e[..., j] accumulates the degree-j elementary symmetric function of the
     # eigenvalues; the slice RHS is materialized before the in-place add, so
     # order is safe, and e[..., j] does not depend on k.
@@ -288,9 +258,9 @@ def newton_rho_from_sigma(sigma, n: int):
     return rho
 
 
-def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> Spectrum:
-    """Recover the eigenvalue multiset of a symmetric operator of order n
-    from its first n power sums.
+def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> np.ndarray:
+    """Recover the eigenvalues of a symmetric operator of order n, sorted
+    descending, from its first n power sums.
 
     Newton's identities give the characteristic polynomial; its roots come
     from a companion-matrix eigensolve. Roots with imaginary part above
@@ -302,7 +272,7 @@ def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> Spectrum:
         raise ValueError(f"need exactly n = {n} power sums, got {len(rho)}")
     sigma = newton_sigma_from_rho(rho, n)
     if n == 1:
-        return Spectrum.from_values([sigma[0]])
+        return np.array(sigma)
     comp = np.zeros((n, n))
     # x^n - sigma_1 x^(n-1) + sigma_2 x^(n-2) - ... ; first-row companion.
     comp[0, :] = [(-1.0) ** k * sigma[k] for k in range(n)]
@@ -312,10 +282,9 @@ def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> Spectrum:
     if imag > tol_imag:
         raise IllPosedMomentsError(
             f"complex spectrum (max imaginary part {imag:.3e}); moments not "
-            "realizable by a real symmetric operator",
-            imag_residual=imag,
+            "realizable by a real symmetric operator"
         )
-    return Spectrum.from_values(roots.real)
+    return np.sort(roots.real)[::-1]
 
 
 def vandermonde_solve(nodes, moments):
@@ -336,9 +305,7 @@ def vandermonde_solve(nodes, moments):
         for j in range(i + 1, n):
             gap = abs(x[i] - x[j])
             if gap <= NODE_GAP_MIN:
-                raise ConditioningError(
-                    f"nodes {x[i]} and {x[j]} are {gap:.3e} apart", gap=gap
-                )
+                raise ConditioningError(f"nodes {x[i]} and {x[j]} are {gap:.3e} apart")
     for k in range(n - 1):
         for i in range(n - 1, k, -1):
             b[i] -= x[k] * b[i - 1]

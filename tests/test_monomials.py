@@ -11,11 +11,7 @@ FD_H = 1e-5
 
 def sample_form():
     # 2 x0^3 - x0 x1 x2 + 4 x2^2
-    f = MonomialForm(3)
-    f.add((3, 0, 0), 2.0)
-    f.add((1, 1, 1), -1.0)
-    f.add((0, 0, 2), 4.0)
-    return f
+    return MonomialForm(3, [((3, 0, 0), 2.0), ((1, 1, 1), -1.0), ((0, 0, 2), 4.0)])
 
 
 def assert_batch_matches_rows(form, pts):
@@ -38,9 +34,7 @@ def test_evaluation():
 
 
 def test_zero_terms_pruned():
-    f = MonomialForm(2)
-    f.add((1, 0), 1.0)
-    f.add((1, 0), -1.0)
+    f = MonomialForm(2, [((1, 0), 1.0), ((1, 0), -1.0)])
     assert len(f) == 0
     assert f(np.array([3.0, 4.0])) == 0.0
     assert_batch_matches_rows(f, np.arange(8.0).reshape(4, 2))
@@ -104,9 +98,7 @@ def test_homogeneity(coords, lam):
     x = np.array(coords)
     # every term of sample_form has total degree 3 except the x2^2 term,
     # so test with the homogeneous cubic part alone
-    g = MonomialForm(3)
-    g.add((3, 0, 0), 2.0)
-    g.add((1, 1, 1), -1.0)
+    g = MonomialForm(3, [((3, 0, 0), 2.0), ((1, 1, 1), -1.0)])
     assert g(lam * x) == pytest.approx(lam**3 * g(x), rel=1e-9, abs=1e-9)
 
 
@@ -117,10 +109,9 @@ def test_norm_square_form():
 
 
 def test_bad_exponents_rejected():
-    f = MonomialForm(2)
     for bad in ((1,), (1, 0, 0), (-1, 2), (2**15, 0)):
         with pytest.raises(ValueError, match="bad exponent tuple"):
-            f.add(bad, 1.0)
+            MonomialForm(2, [(bad, 1.0)])
     with pytest.raises(ValueError, match="bad exponent tuple"):
         MonomialForm(2, [((1, 1), 1.0), ((0, -1), 2.0)])
     big = MonomialForm(2, [((2**15 - 1, 0), 1.0)])

@@ -149,7 +149,7 @@ class TestConstruction:
             form = original(*args)
             first = [0] * form.nvars
             first[0] = form.degree()
-            return form.add(first, 1e-6)
+            return form + MonomialForm(form.nvars, [(first, 1e-6)])
 
         monkeypatch.setattr(polyfam, oracle, perturbed)
         # x_0^g at the first check point carries the perturbation

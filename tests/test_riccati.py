@@ -42,6 +42,12 @@ def mixed_family():
     return rc.riccati_family(*MIXED)
 
 
+def gamma_derivative(fam, t, i, j):
+    """d Gamma_ij / dt at one time or an array of times, as the recurrence
+    checks read it: the analytic sum over the flow's mu and mu'."""
+    return rc._gamma_derivative(*rc._flow(fam, t), i, j)
+
+
 class TestConstruction:
     def test_space_form_spectrum(self):
         assert rc.space_form(2.5, 4) == (2.5, 2.5, 2.5, 2.5)
@@ -122,7 +128,8 @@ class TestDomain:
         rc.evolve_closed(fam, 0.5 - 2e-3)  # just outside the band
         with pytest.raises(BlowUpError) as info:
             rc.evolve_closed(fam, 0.5 - 1e-4)
-        assert info.value.time == pytest.approx(0.5)
+        # the safe interval ends one band short of the pole at 0.5
+        assert str(info.value).endswith(", 0.499)")
         with pytest.raises(BlowUpError):
             rc.evolve_closed(fam, 0.7)  # past the pole entirely
 
@@ -132,7 +139,7 @@ class TestDomain:
         for evolve in (rc.evolve_closed, rc.evolve_derivative):
             with pytest.raises(BlowUpError, match=f"t = {0.5 - 1e-4} ") as info:
                 evolve(fam, grid)
-            assert info.value.time == pytest.approx(0.5)
+            assert str(info.value).endswith(", 0.499)")
         with pytest.raises(BlowUpError, match=f"t = {0.5 - 1e-4} "):
             rc.gamma_ij(fam, grid.reshape(5, 1), 2, 0)
 
@@ -231,7 +238,7 @@ class TestClosedForms:
             assert np.array_equal(stacked, np.stack([evolve(t) for t in grid]))
             assert evolve(grid.reshape(3, 3)).shape == (3, 3, n)
         moments = [(rc.gamma_ij, i, j) for i in range(6) for j in range(3)]
-        moments += [(rc.gamma_derivative, i, j) for i in range(1, 6) for j in range(3)]
+        moments += [(gamma_derivative, i, j) for i in range(1, 6) for j in range(3)]
         for moment, i, j in moments:
             stacked = moment(fam, grid, i, j)
             assert np.array_equal(stacked, [moment(fam, t, i, j) for t in grid])
@@ -410,9 +417,9 @@ class TestMoments:
             rc.gamma_ij(fam, 0.1, 1, -1)
         for j in (0, 1):
             with pytest.raises(ValueError, match=">= 1"):
-                rc.gamma_derivative(fam, 0.1, 0, j)
+                gamma_derivative(fam, 0.1, 0, j)
         with pytest.raises(ValueError, match="nonnegative"):
-            rc.gamma_derivative(fam, 0.1, 1, -1)
+            gamma_derivative(fam, 0.1, 1, -1)
 
     def test_q_derivative_matches_central_difference(self):
         fam = mixed_family()
@@ -422,7 +429,7 @@ class TestMoments:
                 fd = (
                     rc.gamma_ij(fam, t + h, i, 0) - rc.gamma_ij(fam, t - h, i, 0)
                 ) / (2.0 * h)
-                exact = rc.gamma_derivative(fam, float(t), i, 0)
+                exact = gamma_derivative(fam, float(t), i, 0)
                 assert abs(exact - fd) < 1e-5 * max(1.0, abs(exact))
 
     def test_gamma_i1_derivative_matches_central_difference(self):
@@ -436,7 +443,7 @@ class TestMoments:
                     rc.gamma_ij(fam, t + h, i, 1)
                     - rc.gamma_ij(fam, t - h, i, 1)
                 ) / (2.0 * h)
-                exact = rc.gamma_derivative(fam, float(t), i, 1)
+                exact = gamma_derivative(fam, float(t), i, 1)
                 assert abs(exact - fd) < 1e-5 * max(1.0, abs(exact))
 
 
@@ -568,7 +575,7 @@ class TestSpectrumRecovery:
         fam = rc.riccati_family(jac, mu0)
         for t in clipped_times(fam, -0.35, 0.35, 5):
             mu = np.sort(rc.evolve_closed(fam, float(t)))
-            recovered = np.sort(rc.moment_to_spectrum_evolution(fam, float(t)).values)
+            recovered = np.sort(rc.moment_to_spectrum_evolution(fam, float(t)))
             assert np.max(np.abs(mu - recovered)) < 1e-6
 
     def test_tied_branches_can_defeat_recovery(self):
@@ -581,7 +588,7 @@ class TestSpectrumRecovery:
         except IllPosedMomentsError:
             return
         mu = np.sort(rc.evolve_closed(fam, 0.3))
-        assert np.max(np.abs(np.sort(spec.values) - mu)) < 1e-4
+        assert np.max(np.abs(np.sort(spec) - mu)) < 1e-4
 
 
 class TestSphereCrossCheck:

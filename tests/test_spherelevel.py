@@ -12,6 +12,7 @@ from isopar.errors import ConditioningError, FocalPointError, ProjectionError
 from isopar.polyfam import (
     cm_residuals,
     eval_F,
+    eval_hessian,
     eval_jet,
     make_cartan,
     make_fkm,
@@ -36,7 +37,7 @@ from isopar.spherelevel import (
     seeded_streams,
     transnormal_residuals,
 )
-from isopar.symmat import SymmetricMatrix, eigensolve
+from isopar.symmat import SymmetricMatrix, cluster_starts, eigensolve, rho_k
 
 _cache = {}
 
@@ -286,9 +287,11 @@ class TestFrameStacks:
         fam = family("cartan1")
         pts = regular_sphere_points(fam, 4, 31)
         pts[2] = [1.0, 0.0, 0.0, 0.0, 0.0]  # F = u^3 = 1: a focal point
-        with pytest.raises(FocalPointError, match=r"sample 2") as info:
+        with pytest.raises(
+            FocalPointError,
+            match=r"^level f = 1\.000000 is inside the focal band \(sample 2\)$",
+        ):
             frame_at(fam, pts)
-        assert info.value.level == pytest.approx(1.0)
 
     def test_non_unit_row_raises(self):
         fam = family("cartan1")
@@ -408,9 +411,11 @@ class TestMunznerSpectrum:
     def test_multiplicity_pattern(self):
         fam = family("fkm24")
         x = regular_sphere_points(fam, 1, 29)[0]
-        spec = eigensolve(frame_at(fam, x).shape)
-        assert sum(spec.multiplicities()) == fam.n
-        assert sorted(spec.multiplicities()) == sorted((2, 1, 2, 1))
+        w = eigensolve(frame_at(fam, x).shape)
+        edges = np.concatenate([[True], cluster_starts(w), [True]])
+        sizes = np.diff(np.flatnonzero(edges)).tolist()
+        assert sum(sizes) == fam.n
+        assert sorted(sizes) == sorted((2, 1, 2, 1))
 
 
 
@@ -569,6 +574,27 @@ class TestRecurrences:
         assert report["recurrence"] < 1e-12
         assert report["path-agreement"] < 1e-7
 
+    @pytest.mark.parametrize("name", ["cartan8", "fkm24", "ot3"])
+    def test_level_grid_is_projected_per_block(self, monkeypatch, name):
+        # 33 levels in blocks of 16: three projections of the seeded point,
+        # each row the single-level projection bit for bit
+        fam = family(name)
+        t = np.linspace(-0.8, 0.8, 33)
+        calls = []
+
+        def counted(P, x, targets):
+            calls.append(np.shape(targets))
+            return level_project(P, x, targets)
+
+        monkeypatch.setattr(spherelevel, "level_project", counted)
+        report = rhobar_recurrence_check(fam, t, 6, seed=5)
+        assert calls == [(16,), (16,), (1,)]
+        x0 = regular_sphere_points(fam, 1, 5)[0]
+        rho = [rho_k(eval_hessian(fam, level_project(fam, x0, level)), range(7))
+               for level in t]
+        rhobar = level_power_sums(fam.g, fam.m1, fam.m2, t, 6)[1]
+        assert report["path-agreement"] == float(np.max(np.abs(rhobar - rho)))
+
 
 class TestLevelProjection:
     @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -616,6 +642,21 @@ class TestLevelProjection:
             level_project(fam, x, 1.5)
         with pytest.raises(FocalPointError):
             level_project(fam, x, 0.9995)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_one_target_per_row(self, name):
+        # row i of a block, or the one point x, lands on level t[i] as the
+        # single-level call lands it
+        fam = family(name)
+        pts = regular_sphere_points(fam, 5, 43)
+        targets = np.array([-0.4, 0.0, 0.55, 0.2, -0.7])
+        landed = level_project(fam, pts, targets)
+        spread = level_project(fam, pts[0], targets)
+        assert landed.shape == spread.shape == (5, fam.ambient_dim)
+        for i, target in enumerate(targets):
+            assert np.array_equal(landed[i], level_project(fam, pts[i], target))
+            assert np.array_equal(spread[i], level_project(fam, pts[0], target))
+        assert np.max(np.abs(eval_F(fam, spread) - targets)) < 1e-9
 
     def test_rejects_nan_target(self):
         # A NaN target used to land on a NaN point with a tiny path residual.
@@ -693,6 +734,16 @@ class TestBlockRows:
         ):
             level_project(fam, pts, 0.2)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.9995, float("nan")])
+    def test_focal_target_row_is_named(self, bad):
+        fam = family("cartan1")
+        pts = regular_sphere_points(fam, 5, 139)
+        targets = np.array([0.2, -0.3, 0.1, bad, 0.0])
+        message = rf"^target level {bad} is not a regular level \(sample 3\)$"
+        for x in (pts, pts[0]):
+            with pytest.raises(FocalPointError, match=message):
+                level_project(fam, x, targets)
+
     def test_missed_landing_row_is_named(self, monkeypatch):
         fam = family("cartan1")
         pts = regular_sphere_points(fam, 5, 139)
@@ -749,7 +800,7 @@ class TestBlockRows:
         [
             ("asymmetric", ValueError, r"^matrix is not symmetric: .* \(sample 19\)$"),
             ("non-finite", ValueError, r"^matrix has a non-finite entry nan .* \(sample 19\)$"),
-            ("rank-deficient", ConditioningError, r"^rank-deficient input rows \(sample 19\)$"),
+            ("rank-deficient", ConditioningError, r"^rank-deficient input rows: min \|diag R\| \S+ \(sample 19\)$"),
             ("zero-row", ValueError, r"^x must be nonzero \(sample 19\)$"),
         ],
     )
