@@ -4,7 +4,7 @@ Every subcommand prints a single JSON document (schema "isopar-report/1")
 to stdout or --out FILE.  Detail rows carry the tolerance they were judged
 against; rows with tolerance null are informational and do not gate the
 exit code.  Exit codes: 0 all gated checks passed, 1 at least one failed,
-2 usage or construction error (the error is still reported as JSON).
+2 usage or construction error (still reported as JSON) or a closed stdout.
 
 main is the one suite runner.  It resolves the seed, creates the report,
 calls the suite, writes the suite's CSV side file when --csv is given,
@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import astuple, dataclass, field, fields
 
@@ -65,6 +66,7 @@ from .riccati import (
 )
 from .spherelevel import (
     MATCH_TOL,
+    RECURRENCE_K_MAX,
     frame_at,
     in_blocks,
     level_power_sums,
@@ -99,7 +101,6 @@ TOL_RICCATI_ROUNDTRIP = 1e-6
 # |t| < 0.9 the recurrence checks accept) with k <= RECURRENCE_K_MAX.
 LEVEL_BOUND = 0.8
 LEVEL_POINTS = 33
-RECURRENCE_K_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -567,7 +568,7 @@ def cmd_spectrum(args, report):
 
     return "recurrence", functools.partial(
         recurrence_table, fam.g, fam.m1, fam.m2,
-        np.linspace(-LEVEL_BOUND, LEVEL_BOUND, LEVEL_POINTS), RECURRENCE_K_MAX,
+        np.linspace(-LEVEL_BOUND, LEVEL_BOUND, LEVEL_POINTS),
     )
 
 
@@ -581,12 +582,12 @@ def cmd_recurrences(args, report):
     report.params.update(k_max=k_max, level_bound=LEVEL_BOUND)
 
     report.add(
-        "qk-recurrence", qk_recurrence_check(g, m1, m2, grid, k_max),
+        "qk-recurrence", qk_recurrence_check(g, m1, m2, grid),
         TOL_RECURRENCE,
         "Q_(k+1) vs (g/k) sqrt(1 - t^2) dQ_k/dt - Q_(k-1), complex-step "
         "derivative, relative to the size of the terms",
     )
-    rhobar = rhobar_recurrence_check(fam, grid, k_max, report.seed)
+    rhobar = rhobar_recurrence_check(fam, grid, report.seed)
     report.add(
         "rhobar-recurrence", rhobar["recurrence"], TOL_RECURRENCE,
         "first-order recurrence in t of the ambient Hessian power sums "
@@ -631,10 +632,20 @@ def _add_common_flags(sub, samples_default):
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+# A number with an optional exponent. argparse reads an argument that starts
+# with a minus sign as a value only when its pattern matches; its own takes
+# one plain number, ours also exponents and comma lists (--kappa -1,-4).
+_NUMBER = r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error raises ConstructionError in place of printing usage
     and exiting, so main reports it as JSON with exit 2; subparsers share
     the class, and --help still prints and exits 0."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"{_NUMBER}(,{_NUMBER})*$")
 
     def error(self, message):
         raise ConstructionError(f"{self.prog}: {message}")
@@ -735,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one suite and return its exit code: 0 pass, 1 a gated check
-    failed, 2 a usage, construction or file error; the JSON body goes to
-    stdout or --out, and to stdout when --out cannot be written."""
+    failed, 2 a usage, construction or file error or a closed stdout; the
+    JSON body goes to stdout or --out (stdout when --out cannot be written)."""
     argv = sys.argv[1:] if argv is None else argv
     # Until parsing succeeds, the command is the first word unless it is a flag.
     command = argv[0] if argv and not argv[0].startswith("-") else None
@@ -761,7 +772,14 @@ def main(argv=None) -> int:
             return code
         except OSError as exc:
             text, code = error_body(command, exc), 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: devnull takes stdout, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return code
 
 

@@ -62,52 +62,32 @@ class ComplexStructure:
     tag: str
 
 
-@dataclass(frozen=True)
-class CliffordReport:
-    """Max-abs residuals of the defining relations of a system."""
-
-    anticommutation: float  # |A_i A_j + A_j A_i - 2 delta_ij I|
-    symmetry: float  # |A_i - A_i^T|
-    orthogonality: float  # |A_i^2 - I|
-
-    @property
-    def max_residual(self) -> float:
-        return max_abs([self.anticommutation, self.symmetry, self.orthogonality])
-
-
 def _freeze(a):
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
 
 
-def verify_clifford(system) -> CliffordReport:
-    """Residuals of symmetry, orthogonality and pairwise anticommutation.
-
-    Accepts a CliffordSystem or a plain iterable of matrices, so corrupted
-    candidates can be measured without constructing a system object.
-    """
-    if isinstance(system, CliffordSystem):
-        gens = system.generators
-    else:
-        gens = tuple(np.asarray(a, dtype=float) for a in system)
+def verify_clifford(system: CliffordSystem) -> float:
+    """Largest residual of the defining relations: pairwise anticommutation
+    |A_i A_j + A_j A_i| (i < j), symmetry |A_i - A_i^T| and orthogonality
+    |A_i^2 - I|. A NaN anywhere is returned, not dropped."""
+    gens = system.generators
     if not gens:
         raise ValueError("no generators given")
-    eye = np.eye(gens[0].shape[0])
-    return CliffordReport(
-        anticommutation=max_abs(
-            [a @ b + b @ a for i, a in enumerate(gens) for b in gens[i + 1 :]]
-        ),
-        symmetry=max_abs([a - a.T for a in gens]),
-        orthogonality=max_abs([a @ a - eye for a in gens]),
+    eye = np.eye(system.dim)
+    return max_abs(
+        [a @ b + b @ a for i, a in enumerate(gens) for b in gens[i + 1 :]]
+        + [a - a.T for a in gens]
+        + [a @ a - eye for a in gens]
     )
 
 
 def _validated(system: CliffordSystem) -> CliffordSystem:
-    report = verify_clifford(system)
-    if not report.max_residual <= ENTRY_TOL:
+    residual = verify_clifford(system)
+    if not residual <= ENTRY_TOL:
         raise ConstructionError(
-            f"system relations violated (max residual {report.max_residual:.3e})"
+            f"system relations violated (max residual {residual:.3e})"
         )
     return system
 

@@ -39,8 +39,10 @@ CONTEXT_CHECK_SAMPLES = 50
 CONTEXT_CHECK_SEED = 911
 
 
-def s1_invariance_residual(P: IsoPolynomial, J: ComplexStructure, samples=50, seed=0) -> float:
-    """Max |F(cos t z + sin t Jz) - F(z)| over seeded (z, theta) pairs."""
+def s1_invariance_residual(P: IsoPolynomial, J: ComplexStructure) -> float:
+    """Max |F(cos t z + sin t Jz) - F(z)| over CONTEXT_CHECK_SAMPLES (z,
+    theta) pairs seeded from CONTEXT_CHECK_SEED."""
+    samples, seed = CONTEXT_CHECK_SAMPLES, CONTEXT_CHECK_SEED
     jm = J.matrix
     if jm.shape != (P.ambient_dim, P.ambient_dim):
         raise ValueError("J has the wrong dimension for this family")
@@ -71,9 +73,7 @@ class HopfContext:
             raise ValueError(
                 f"dimension mismatch: family {P.ambient_dim}, J {J.dim}"
             )
-        residual = s1_invariance_residual(
-            P, J, samples=CONTEXT_CHECK_SAMPLES, seed=CONTEXT_CHECK_SEED
-        )
+        residual = s1_invariance_residual(P, J)
         if not residual <= INVARIANCE_TOL:
             raise InvarianceError(
                 f"F is not invariant under this circle action "
@@ -81,7 +81,6 @@ class HopfContext:
             )
         self.P = P
         self.J = J
-        self.g = P.g
 
 
 def omega_direct(ctx: HopfContext, frame: SpherePointFrame):
@@ -154,7 +153,7 @@ def alpha_at(ctx: HopfContext, frame: SpherePointFrame):
     bit.
     """
     F = frame.f
-    g = float(ctx.g)
+    g = float(ctx.P.g)
     omega = omega_direct(ctx, frame)
     alpha = (g**3 * F * (3.0 - 2.0 * F * F) + omega) / (
         g**3 * np.float_power(1.0 - F * F, 1.5)
@@ -201,8 +200,8 @@ def phi_decomposition(ctx: HopfContext, frame: SpherePointFrame) -> HopfDecompos
     # each eigenvalue's cluster, and the (..., g, n) cluster membership
     cluster = np.zeros(w.shape, dtype=int)
     cluster[..., 1:] = np.cumsum(cluster_starts(w), axis=-1)
-    member = cluster[..., None, :] == np.arange(ctx.g)[:, None]
-    split = (cluster[..., -1] != ctx.g - 1)[..., None]
+    member = cluster[..., None, :] == np.arange(ctx.P.g)[:, None]
+    split = (cluster[..., -1] != ctx.P.g - 1)[..., None]
     # J x in the eigenbasis: V^T (J x coordinates)
     coords = (np.swapaxes(vecs, -2, -1) @ _fibre_coords(ctx, frame)[..., None])[..., 0]
     weights = np.sum(member * coords[..., None, :] ** 2, axis=-1)

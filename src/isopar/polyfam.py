@@ -18,7 +18,6 @@ own, checked against the path at construction, differentiated on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -399,28 +398,16 @@ def eval_hessian_monomial(P: IsoPolynomial, x) -> SymmetricMatrix:
     return SymmetricMatrix(h)
 
 
-@dataclass(frozen=True)
-class TransnormalProfile:
-    """The profile functions of the spherical restriction f = F|_{S}:
-    |grad f|^2 = b(f), Delta f = a(f)."""
-
-    g: int
-    n: int
-    m1: int
-    m2: int
-
-    def b(self, f: float) -> float:
-        return self.g**2 * (1.0 - f * f)
-
-    def b_prime(self, f: float) -> float:
-        return -2.0 * self.g**2 * f
-
-    def a(self, f: float) -> float:
-        return 0.5 * self.g**2 * (self.m2 - self.m1) - self.g * (self.n + self.g) * f
+def gradient_profile(P: IsoPolynomial, f):
+    """b(f) = g^2 (1 - f^2), the profile |grad f|^2 = b(f) of the spherical
+    restriction f = F|_S at the level f (float or array)."""
+    return P.g**2 * (1.0 - f * f)
 
 
-def profile_of(P: IsoPolynomial) -> TransnormalProfile:
-    return TransnormalProfile(g=P.g, n=P.n, m1=P.m1, m2=P.m2)
+def laplacian_profile(P: IsoPolynomial, f):
+    """a(f) = (g^2/2)(m2 - m1) - g (n + g) f, the profile Delta f = a(f) of
+    the spherical restriction at the level f (float or array)."""
+    return 0.5 * P.g**2 * (P.m2 - P.m1) - P.g * (P.n + P.g) * f
 
 
 def _nonzero_radius(x):

@@ -243,25 +243,25 @@ def _flow(fam: RiccatiFamily, t):
     return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.kappas)
 
 
-def check_power_sum_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 6) -> float:
-    """Max residual of Q_(i+1) = (1/i) dQ_i/dt - Gamma_(i-1,1)."""
+def check_power_sum_recurrence(fam: RiccatiFamily, t_samples) -> float:
+    """Max residual of Q_(i+1) = (1/i) dQ_i/dt - Gamma_(i-1,1), i = 1..6."""
     mu, dmu, kappas = _flow(fam, t_samples)
     return max_abs([
         _gamma(mu, kappas, i + 1, 0)
         - (_gamma_derivative(mu, dmu, kappas, i, 0) / i - _gamma(mu, kappas, i - 1, 1))
-        for i in range(1, i_max + 1)
+        for i in range(1, 7)
     ])
 
 
-def check_gamma_recurrence(fam: RiccatiFamily, t_samples, i_max: int = 5) -> float:
-    """Max residual of the Gamma_(i+1,1) recurrence for parallel diagonal R:
-    Gamma_(i+1,1) = (1/i) (dGamma_i1/dt - sum_j tr(S^j R S^(i-1-j) R)),
+def check_gamma_recurrence(fam: RiccatiFamily, t_samples) -> float:
+    """Max residual of the Gamma_(i+1,1) recurrence for parallel diagonal R,
+    i = 1..5: Gamma_(i+1,1) = (1/i) (dGamma_i1/dt - sum_j tr(S^j R S^(i-1-j) R)),
     where each of the i cross terms collapses to Gamma_(i-1,2)."""
     mu, dmu, kappas = _flow(fam, t_samples)
     return max_abs([
         _gamma(mu, kappas, i + 1, 1)
         - (_gamma_derivative(mu, dmu, kappas, i, 1) - i * _gamma(mu, kappas, i - 1, 2)) / i
-        for i in range(1, i_max + 1)
+        for i in range(1, 6)
     ])
 
 
@@ -324,8 +324,8 @@ def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> np.ndarray:
     )
 
 
-def trajectory_table(fam: RiccatiFamily, t0, t1, steps, k_max=4):
-    """Header and rows (t, mu_1.., Q_1..Q_kmax, H) with H = Q_1 over `steps`
+def trajectory_table(fam: RiccatiFamily, t0, t1, steps):
+    """Header and rows (t, mu_1.., Q_1..Q_4, H) with H = Q_1 over `steps`
     evenly spaced times. Times inside a blow-up band are skipped, so the
     table may have fewer rows."""
     n = len(fam.mu0)
@@ -333,11 +333,11 @@ def trajectory_table(fam: RiccatiFamily, t0, t1, steps, k_max=4):
     times = times[_in_domain(fam, times)]
     mu = evolve_closed(fam, times)
     kappas = np.array(fam.kappas)
-    q = [_gamma(mu, kappas, k, 0) for k in range(1, k_max + 1)]
+    q = [_gamma(mu, kappas, k, 0) for k in range(1, 5)]
     header = (
         ["t"]
         + [f"mu{i}" for i in range(1, n + 1)]
-        + [f"Q{k}" for k in range(1, k_max + 1)]
+        + [f"Q{k}" for k in range(1, 5)]
         + ["H"]
     )
     return header, np.column_stack([times, mu, *q, np.sum(mu, axis=-1)])

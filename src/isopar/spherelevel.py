@@ -23,8 +23,9 @@ from .polyfam import (
     eval_grad,
     eval_hessian,
     eval_jet,
+    gradient_profile,
+    laplacian_profile,
     point_norm,
-    profile_of,
 )
 from .symmat import (
     SymmetricMatrix,
@@ -39,6 +40,8 @@ EPS_FOCAL = 1e-3  # levels with |f| > 1 - EPS_FOCAL count as focal
 COMPLEX_STEP = 1e-20  # imaginary step of the complex-step t-derivative
 MATCH_TOL = 1e-6
 PROJECTION_TOL = 1e-10  # level and path gates of level_project
+# Highest order k of the Q_k / rhobar_k recurrence checks and their table.
+RECURRENCE_K_MAX = 6
 
 # Samples per kernel call on every block path (verify-cm, verify-hidden,
 # alpha-scan, spectrum): large enough to amortize the per-call overhead,
@@ -85,32 +88,12 @@ _STATE_MULT = np.array(_STATE_CHAIN[1:], dtype=np.uint64)
 
 def _seed_pool(seed: int):
     """SeedSequence(seed, spawn_key=key)'s entropy pool before the first key
-    word is mixed in, as Python ints, and the hash constant reached there.
-    The seed's words are zero-padded to the pool size (numpy pads whenever
-    a spawn key is given; for an empty key the pool reads zeros the same)."""
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    # the first two phases hash 16 times, each later seed word 4 times
-    chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(words))
-    steps = iter(zip(chain, chain[1:]))
-
-    def hashmix(value):
-        return _hashmix(value, *next(steps))
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, chain[-1]
+    word is mixed in, numpy's SeedSequence(seed).pool (numpy hashes missing
+    seed words as zeros, as it pads them for a key), and the hash constant,
+    moved on by 4 hashes per seed word, padded to the pool size."""
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * words, _MASK32 + 1) & _MASK32
+    return np.random.SeedSequence(seed).pool, hash_const
 
 
 class _SeedState:
@@ -136,9 +119,9 @@ def seeded_streams(seed: int, keys):
 
     SeedSequence's mixing of the key words and its generate_state(4, uint64)
     run for every key at once as uint32 array arithmetic (held in uint64 and
-    masked); the seed's part of the pool is shared and hashed once. The
-    Generators are built as the returned iterator is read, so one at a
-    time is alive in a loop over it."""
+    masked) on the seed's pool, which numpy's SeedSequence(seed) supplies
+    once for every key. The Generators are built as the returned iterator
+    is read, so one at a time is alive in a loop over it."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -211,11 +194,11 @@ def orthonormal_complement(vectors) -> np.ndarray:
 
 
 def _spherical_normal(P: IsoPolynomial, x, f, df):
-    """Spherical gradient df - g f x of f = F|_S at unit x (Euler: DF.x = gF),
-    its norm and the unit normal nu of the level set; x may be a block."""
+    """|grad f| for the spherical gradient df - g f x of f = F|_S at unit x
+    (Euler: DF.x = gF), and the level set's unit normal nu; x may be a block."""
     grad_sph = df - np.multiply(P.g, f)[..., None] * x
     grad_norm = point_norm(grad_sph)
-    return grad_sph, grad_norm, grad_sph / np.asarray(grad_norm)[..., None]
+    return grad_norm, grad_sph / np.asarray(grad_norm)[..., None]
 
 
 @dataclass(frozen=True)
@@ -225,22 +208,23 @@ class SpherePointFrame:
     leading sample axis).
 
     df and d2f are the ambient DF and D^2F at x, evaluated once; every
-    derived quantity reads them. tangent_basis: n orthonormal rows spanning
-    the level-set tangent space (orthogonal to x and to the spherical
-    gradient). hessian_sph is the spherical Hessian of f = F|_S in the frame
-    (e_1..e_n, nu), order n+1, derived at construction; shape is the
-    level-set shape operator, order n, derived and gated on first read.
+    derived quantity reads them, and P, the family member, gives g, m1 and
+    m2. nu is the level set's unit normal, the spherical gradient over its
+    norm grad_norm. tangent_basis: n orthonormal rows spanning the level-set
+    tangent space (orthogonal to x and to nu). hessian_sph is the spherical
+    Hessian of f = F|_S in the frame (e_1..e_n, nu), order n+1, derived at
+    construction; shape is the level-set shape operator, order n, derived
+    and gated on first read.
     """
 
     point: np.ndarray
     f: float
     df: np.ndarray
     d2f: np.ndarray
-    grad_sph: np.ndarray
     grad_norm: float
     nu: np.ndarray
     tangent_basis: np.ndarray
-    profile: object
+    P: IsoPolynomial
     hessian_sph: SymmetricMatrix = field(init=False)
     # hessian_sph before symmetrisation, which shape is read from
     _hessian_raw: np.ndarray = field(init=False, repr=False)
@@ -266,26 +250,8 @@ class SpherePointFrame:
         at the point: rows D^2F rows^T - g f I."""
         k = rows.shape[-2]
         return rows @ self.d2f @ np.swapaxes(rows, -2, -1) - _stacked(
-            np.multiply(self.profile.g, self.f)
+            np.multiply(self.P.g, self.f)
         ) * np.eye(k)
-
-    def residuals(self) -> dict:
-        """Max-abs residuals of the frame invariants (over the whole stack)."""
-        n = self.tangent_basis.shape[-2]
-        hs = self.hessian_sph.entries
-        f = np.asarray(self.f)
-        res = {
-            "unit-point": np.abs(point_norm(self.point) - 1.0),
-            "grad-tangency": np.abs(
-                (self.grad_sph[..., None, :] @ self.point[..., :, None])[..., 0, 0]
-            ),
-            "mixed-row": np.abs(hs[..., :n, n]),
-            "normal-entry": np.abs(hs[..., n, n] - 0.5 * self.profile.b_prime(f)),
-            "gradient-profile": np.abs(
-                np.asarray(self.grad_norm) ** 2 - self.profile.b(f)
-            ),
-        }
-        return {key: float(np.max(value)) for key, value in res.items()}
 
 
 def _stacked(value):
@@ -337,17 +303,16 @@ def frame_at(P: IsoPolynomial, x) -> SpherePointFrame:
         raise FocalPointError(
             f"level f = {np.ravel(f)[bad[0]]:.6f} is inside the focal band{bad[1]}"
         )
-    grad_sph, grad_norm, nu = _spherical_normal(P, x, f, df)
+    grad_norm, nu = _spherical_normal(P, x, f, df)
     return SpherePointFrame(
         point=x,
         f=f,
         df=df,
         d2f=d2f.entries,
-        grad_sph=grad_sph,
         grad_norm=grad_norm,
         nu=nu,
         tangent_basis=orthonormal_complement(np.stack([x, nu], axis=-2)),
-        profile=profile_of(P),
+        P=P,
     )
 
 
@@ -371,8 +336,8 @@ def munzner_check(frame: SpherePointFrame):
     after a global sign flip, so an orientation mismatch is told apart from
     a genuine failure.
     """
-    prof = frame.profile
-    curvatures, mult = cotangent_shift(prof.g, prof.m1, prof.m2, frame.f)
+    P = frame.P
+    curvatures, mult = cotangent_shift(P.g, P.m1, P.m2, frame.f)
     expected = np.repeat(np.stack(curvatures, axis=-1), mult, axis=-1)
     observed = eigensolve(frame.shape)
     dev = np.max(np.abs(observed - expected), axis=-1)
@@ -440,13 +405,10 @@ def _recurrence_residual(sums, rhs) -> np.ndarray:
     return np.abs(lhs - rhs) / scale
 
 
-def qk_recurrence_check(
-    g: int, m1: int, m2: int, t_samples, k_max: int = 6
-) -> float:
-    """Worst relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1}
-    over the levels t_samples, with the derivative taken by complex step."""
-    if not 1 <= k_max <= 8:
-        raise ValueError(f"k_max = {k_max} out of range [1, 8]")
+def qk_recurrence_check(g: int, m1: int, m2: int, t_samples) -> float:
+    """Worst relative residual of Q_{k+1} = (g/k) sqrt(1-t^2) dQ_k/dt - Q_{k-1},
+    k < RECURRENCE_K_MAX, over the levels t_samples; dQ_k/dt by complex step."""
+    k_max = RECURRENCE_K_MAX
     t = np.asarray(t_samples, dtype=float)
     outside = ~((-0.9 < t) & (t < 0.9))
     if outside.any():
@@ -457,10 +419,9 @@ def qk_recurrence_check(
     return max_abs(_recurrence_residual(q, rhs))
 
 
-def rhobar_recurrence_check(
-    P: IsoPolynomial, t_samples, k_max: int = 6, seed: int = 0
-) -> dict:
-    """Check the ambient-Hessian power sums along levels two ways.
+def rhobar_recurrence_check(P: IsoPolynomial, t_samples, seed: int) -> dict:
+    """Check the ambient-Hessian power sums rhobar_k, k <= RECURRENCE_K_MAX,
+    along levels two ways.
 
     Path (a) is the analytic eigenvalue-list formula (level_power_sums);
     path (b) evaluates rho_k of the actual Hessian at one seeded point
@@ -471,7 +432,7 @@ def rhobar_recurrence_check(
     "recurrence" (relative), "path-agreement" (a vs b), "seed-zero"
     (|rhobar_0 - (n + 2)|) and "seed-one" (|rhobar_1 - (g^2/2)(m2 - m1)|).
     """
-    g, m1, m2 = P.g, P.m1, P.m2
+    g, m1, m2, k_max = P.g, P.m1, P.m2, RECURRENCE_K_MAX
     t = np.asarray(t_samples, dtype=float)
     ks = range(k_max + 1)
     x0 = regular_sphere_points(P, 1, seed)[0]
@@ -539,7 +500,7 @@ def level_project(P: IsoPolynomial, x, t_target) -> np.ndarray:
         raise FocalPointError(
             f"start level {np.ravel(f0)[bad[0]]:.6f} is not regular{bad[1]}"
         )
-    _, _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
+    _, nu = _spherical_normal(P, x, f0, eval_grad(P, x))
     tau0 = np.asarray(np.arccos(f0) / P.g)
     arc = np.asarray(landing_arc(tau0, t_target, P.g))
     y = np.cos(arc)[..., None] * x + np.sin(arc)[..., None] * nu
@@ -574,15 +535,15 @@ def transnormal_residuals(P: IsoPolynomial, x):
     (|grad f|^2 - b(f),  Delta f - a(f)), floats for one point, one value
     per row of an (N, d) block."""
     frame = frame_at(P, x)
-    prof = frame.profile
-    res_grad = np.asarray(frame.grad_norm) ** 2 - prof.b(frame.f)
-    res_lap = frame.hessian_sph.trace() - prof.a(frame.f)
+    res_grad = np.asarray(frame.grad_norm) ** 2 - gradient_profile(frame.P, frame.f)
+    res_lap = frame.hessian_sph.trace() - laplacian_profile(frame.P, frame.f)
     return scalar_or_stack(res_grad), scalar_or_stack(res_lap)
 
 
-def recurrence_table(g, m1, m2, t_values, k_max=6):
-    """Header and rows (t, Q_1..Q_kmax, rhobar_0..rhobar_kmax), one row per
-    level in t_values."""
+def recurrence_table(g, m1, m2, t_values):
+    """Header and rows (t, Q_1..Q_kmax, rhobar_0..rhobar_kmax) for k_max =
+    RECURRENCE_K_MAX, one row per level in t_values."""
+    k_max = RECURRENCE_K_MAX
     header = (
         ["t"]
         + [f"Q{k}" for k in range(1, k_max + 1)]

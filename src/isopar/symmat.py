@@ -23,6 +23,7 @@ from .errors import ConditioningError, IllPosedMomentsError, NonFiniteError
 CLUSTER_TOL = 1e-6
 
 NODE_GAP_MIN = 1e-8
+IMAG_TOL = 1e-6  # largest |Im| of a companion root still read as real
 
 
 @dataclass(frozen=True)
@@ -258,13 +259,13 @@ def newton_rho_from_sigma(sigma, n: int):
     return rho
 
 
-def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> np.ndarray:
+def spectrum_from_moments(rho, n: int) -> np.ndarray:
     """Recover the eigenvalues of a symmetric operator of order n, sorted
     descending, from its first n power sums.
 
     Newton's identities give the characteristic polynomial; its roots come
     from a companion-matrix eigensolve. Roots with imaginary part above
-    tol_imag mean the moments are not realizable and raise
+    IMAG_TOL mean the moments are not realizable and raise
     IllPosedMomentsError.
     """
     rho = [float(r) for r in rho]
@@ -279,7 +280,7 @@ def spectrum_from_moments(rho, n: int, tol_imag=1e-6) -> np.ndarray:
     comp[1:, :-1] = np.eye(n - 1)
     roots = np.linalg.eigvals(comp)
     imag = float(np.max(np.abs(roots.imag)))
-    if imag > tol_imag:
+    if imag > IMAG_TOL:
         raise IllPosedMomentsError(
             f"complex spectrum (max imaginary part {imag:.3e}); moments not "
             "realizable by a real symmetric operator"

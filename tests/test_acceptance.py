@@ -233,8 +233,8 @@ def test_criterion_08_level_recurrences(capsys):
     grid = np.linspace(-0.9, 0.9, 22)[1:-1]  # 20 interior values
     worst = 0.0
     for fam in FAMILIES.values():
-        q_res = qk_recurrence_check(fam.g, fam.m1, fam.m2, grid, k_max=6)
-        rhobar = rhobar_recurrence_check(fam, grid, k_max=6, seed=SEED + 7)
+        q_res = qk_recurrence_check(fam.g, fam.m1, fam.m2, grid)
+        rhobar = rhobar_recurrence_check(fam, grid, SEED + 7)
         assert rhobar["seed-zero"] == 0.0
         assert rhobar["seed-one"] < 1e-12
         worst = max(worst, q_res, rhobar["recurrence"])
@@ -319,8 +319,8 @@ def test_criterion_10_curvature_evolution(capsys):
             )
         worst_lemma = max(
             worst_lemma,
-            rc.check_power_sum_recurrence(fam, times, i_max=6),
-            rc.check_gamma_recurrence(fam, times, i_max=5),
+            rc.check_power_sum_recurrence(fam, times),
+            rc.check_gamma_recurrence(fam, times),
         )
         chain = rc.check_moment_chain(fam, times)
         worst_chain = max(worst_chain, np.max(list(chain.values())))

@@ -461,6 +461,31 @@ class TestRiccati:
         assert code == 0
         assert doc["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv,joined",
+        [
+            (["--kappa", "-1,-4", "--mult", "1", "--mu0", "0.4,1.7,0.2"],
+             ["--kappa=-1,-4", "--mult", "1", "--mu0", "0.4,1.7,0.2"]),
+            (["--kappa", "1", "--mu0", "-0.4,0.2"],
+             ["--kappa", "1", "--mu0=-0.4,0.2"]),
+            (["--kappa", "1", "--mu0", "0.4", "--t0", "-1e-3"],
+             ["--kappa", "1", "--mu0", "0.4", "--t0=-1e-3"]),
+        ],
+    )
+    def test_negative_number_lists_are_values(self, capsys, argv, joined):
+        # a comma list or an exponent after a minus sign is the flag's value,
+        # giving the report of the joined --flag=value form
+        code, out = run(capsys, ["riccati", *argv])
+        assert code == 0
+        assert (code, out) == run(capsys, ["riccati", *joined])
+
+    def test_flag_like_value_is_still_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["riccati", "--kappa", "-x", "--mu0", "0.4"])
+        assert code == 2
+        assert doc["error"]["message"] == (
+            "isopar riccati: argument --kappa: expected one argument"
+        )
+
     def test_too_few_curvatures_for_mult_is_usage_error(self, capsys):
         # n is read off the mu0 list; two entries cannot host a
         # multiplicity-3 block
@@ -691,10 +716,10 @@ class TestRecurrences:
         fam = cli._member(family, m, r)
         g, m1, m2 = fam.g, fam.m1, fam.m2
         grid = np.linspace(-0.8, 0.8, 9)
-        rhobar = spherelevel.rhobar_recurrence_check(fam, grid, 6, 7)
+        rhobar = spherelevel.rhobar_recurrence_check(fam, grid, 7)
         scale = float(np.max(np.abs(spherelevel.level_power_sums(g, m1, m2, grid, 6)[1])))
         expected = [
-            spherelevel.qk_recurrence_check(g, m1, m2, grid, 6),
+            spherelevel.qk_recurrence_check(g, m1, m2, grid),
             rhobar["recurrence"],
             rhobar["path-agreement"] / scale,
             rhobar["seed-zero"],
@@ -858,6 +883,22 @@ class TestReportContract:
         assert doc["pass"] is False
         assert doc["error"]["type"] == "FocalPointError"
         assert "Traceback" not in captured.out + captured.err
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # stdout is a pipe whose reader is gone before the report is written
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "isopar.cli", "alpha-scan", "--family", "ot",
+                 "--r", "1", "--J", "right-i", "--samples", "2"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b""
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()

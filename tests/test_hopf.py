@@ -55,11 +55,18 @@ def context(name):
 CONTEXT_NAMES = ["fkm13-block", "fkm24-block", "ot1-right", "ot1-left"]
 
 
+def invariance_residual(monkeypatch, P, J, samples, seed):
+    """s1_invariance_residual over `samples` pairs seeded from `seed`."""
+    monkeypatch.setattr(hopf, "CONTEXT_CHECK_SAMPLES", samples)
+    monkeypatch.setattr(hopf, "CONTEXT_CHECK_SEED", seed)
+    return s1_invariance_residual(P, J)
+
+
 class TestInvariance:
     @pytest.mark.parametrize("name", CONTEXT_NAMES)
-    def test_invariant_pairs_accepted(self, name):
+    def test_invariant_pairs_accepted(self, monkeypatch, name):
         ctx = context(name)
-        res = s1_invariance_residual(ctx.P, ctx.J, samples=20, seed=7)
+        res = invariance_residual(monkeypatch, ctx.P, ctx.J, samples=20, seed=7)
         assert res < 1e-9
 
     @pytest.mark.parametrize(
@@ -69,10 +76,11 @@ class TestInvariance:
             (lambda: make_ot(1), J_BLOCK),
         ],
     )
-    def test_wrong_structure_rejected(self, fam_builder, jtag):
+    def test_wrong_structure_rejected(self, monkeypatch, fam_builder, jtag):
         fam = fam_builder()
         J = build_complex_structure(jtag, fam.ambient_dim)
-        assert s1_invariance_residual(fam, J, samples=20, seed=7) > 0.1
+        assert invariance_residual(monkeypatch, fam, J, samples=20, seed=7) > 0.1
+        monkeypatch.undo()  # the context check runs at its own sample
         with pytest.raises(InvarianceError):
             HopfContext(fam, J)
 
@@ -95,7 +103,7 @@ class TestInvariance:
             w = np.cos(theta) * z + np.sin(theta) * (J.matrix @ z)
             expected = max(expected, abs(eval_F(fam, w) - eval_F(fam, z)))
         monkeypatch.setattr(hopf, "eval_F", counted)
-        res = s1_invariance_residual(fam, J, samples=20, seed=7)
+        res = invariance_residual(monkeypatch, fam, J, samples=20, seed=7)
         assert calls == [(20, 8), (20, 8)]
         assert res == pytest.approx(expected, rel=1e-13)
 
@@ -117,7 +125,7 @@ class TestInvariance:
         monkeypatch.setattr(
             hopf, "eval_F", lambda P, x: (blocks.append(x), eval_F(P, x))[1]
         )
-        s1_invariance_residual(fam, J, samples=30, seed=seed)
+        invariance_residual(monkeypatch, fam, J, samples=30, seed=seed)
         assert np.array_equal(blocks[0], ws) and np.array_equal(blocks[1], zs)
 
     def test_nan_residual_rejected(self, monkeypatch):
@@ -404,7 +412,7 @@ class TestBlockRows:
         # frames on levels spread over [-0.85, 0.85]; alpha also equals the
         # closed form in Python floats (libm's pow) bit for bit
         ctx = context(name)
-        g = float(ctx.g)
+        g = float(ctx.P.g)
         frames = frame_at(ctx.P, regular_sphere_points(ctx.P, size, 151, f_bound=0.85))
         omega = omega_direct(ctx, frames)
         alpha, alpha_omega = alpha_at(ctx, frames)
@@ -452,7 +460,7 @@ class TestBlockRows:
             coords = vecs[i].T @ jx[i]
             lambdas = [part.mean() for part in np.split(w[i], cuts)]
             phi_sq = [np.sum(part**2) for part in np.split(coords, cuts)]
-            assert len(phi_sq) == ctx.g
+            assert len(phi_sq) == ctx.P.g
             assert np.max(np.abs(dec.phi_sq[i] - phi_sq)) <= 1e-15
             assert np.max(np.abs(dec.lambdas[i] - lambdas)) <= 1e-14 * np.max(np.abs(w[i]))
             assert dec.l[i] == np.count_nonzero(np.array(phi_sq) > 1e-6)

@@ -26,11 +26,12 @@ from isopar.polyfam import (
     eval_jet,
     _cartan_products,
     cd_mult,
+    gradient_profile,
     hidden_rho_residual,
+    laplacian_profile,
     make_cartan,
     make_fkm,
     make_ot,
-    profile_of,
 )
 from isopar.symmat import rho_k
 
@@ -412,18 +413,16 @@ class TestDefiningEquations:
             cm_residuals(family("cartan1"), np.zeros(5))
 
     def test_profile_values(self):
-        prof = profile_of(family("cartan1"))
-        assert prof.b(0.0) == pytest.approx(9.0)
-        assert prof.b(1.0) == pytest.approx(0.0)
-        assert prof.b_prime(0.5) == pytest.approx(-9.0)
+        fam = family("cartan1")
+        assert gradient_profile(fam, 0.0) == pytest.approx(9.0)
+        assert gradient_profile(fam, 1.0) == pytest.approx(0.0)
         # m1 = m2 and g = 3, n = 3: a(f) = -g(n+g) f
-        assert prof.a(0.2) == pytest.approx(-3.0 * 6.0 * 0.2)
+        assert laplacian_profile(fam, 0.2) == pytest.approx(-3.0 * 6.0 * 0.2)
 
     def test_profile_fkm(self):
         fam = family("fkm24")
-        prof = profile_of(fam)
-        assert prof.b(0.3) == pytest.approx(16.0 * (1 - 0.09))
-        assert prof.a(0.0) == pytest.approx(0.5 * 16.0 * (fam.m2 - fam.m1))
+        assert gradient_profile(fam, 0.3) == pytest.approx(16.0 * (1 - 0.09))
+        assert laplacian_profile(fam, 0.0) == pytest.approx(0.5 * 16.0 * (fam.m2 - fam.m1))
 
 
 class TestDisplayedIdentities:

@@ -511,12 +511,12 @@ class TestRecurrences:
     def test_power_sum_recurrence_exact(self):
         for fam in self.families():
             times = clipped_times(fam, -0.4, 0.4, 9)
-            assert rc.check_power_sum_recurrence(fam, times, i_max=6) < 1e-9
+            assert rc.check_power_sum_recurrence(fam, times) < 1e-9
 
     def test_gamma_recurrence_exact(self):
         for fam in self.families():
             times = clipped_times(fam, -0.4, 0.4, 9)
-            assert rc.check_gamma_recurrence(fam, times, i_max=5) < 1e-9
+            assert rc.check_gamma_recurrence(fam, times) < 1e-9
 
     def test_block_split_recovers_mixed_moments(self):
         for fam in self.families():
@@ -626,7 +626,7 @@ class TestTrajectoryCsv:
             rc.rank_one(1.0, 4.0, 1, 4), (0.9, -0.3, 0.25, 1.1)
         )
         path = tmp_path / "traj.csv"
-        header, rows = rc.trajectory_table(fam, -0.3, 0.3, 13, k_max=4)
+        header, rows = rc.trajectory_table(fam, -0.3, 0.3, 13)
         write_csv(path, header, rows)
         assert len(rows) == 13
         lines = path.read_text().strip().splitlines()
