@@ -20,14 +20,13 @@ the environment overrides --seed; either must be a non-negative integer.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +102,7 @@ LEVEL_BOUND = 0.8
 LEVEL_POINTS = 33
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One named residual judged against one tolerance.
 
     tolerance None marks an informational row: reported, never gated.
@@ -120,15 +118,11 @@ class CheckRecord:
         return self.tolerance is None or self.residual <= self.tolerance
 
 
-@dataclass
 class SuiteReport:
-    command: str
-    seed: int
-    params: dict = field(default_factory=dict)
-    samples: int = 0
-    details: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    def __init__(self, command: str, seed: int):
+        self.command, self.seed = command, seed
+        self.params, self.samples = {}, 0
+        self.details, self.notes, self.extra = [], [], {}
 
     def add(self, name, residual, tolerance, ref):
         """One row; an array of residuals is reduced by np.max, which
@@ -193,11 +187,11 @@ def error_body(command: str, exc: Exception) -> str:
 
 def write_csv(path, header, rows) -> None:
     """The one side-file format: a header row, then every value with 17
-    significant digits so rows reload bit for bit; CRLF line ends."""
+    significant digits so rows reload bit for bit; CRLF line ends. No field
+    holds a comma, quote or line break, so none is quoted (as csv.writer)."""
+    lines = [header, *([f"{value:.17g}" for value in row] for row in rows)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([f"{value:.17g}" for value in row] for row in rows)
+        handle.writelines(",".join(line) + "\r\n" for line in lines)
 
 
 def _seed(args) -> int:
@@ -428,8 +422,8 @@ def cmd_alpha_scan(args, report):
         )
 
     return "alpha", lambda: (
-        [f.name for f in fields(AlphaSample)],
-        zip(*astuple(scan)),
+        AlphaSample._fields,
+        zip(*scan),
     )
 
 
@@ -636,6 +630,7 @@ def _add_common_flags(sub, samples_default):
 # with a minus sign as a value only when its pattern matches; its own takes
 # one plain number, ours also exponents and comma lists (--kappa -1,-4).
 _NUMBER = r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NUMBER_LIST = re.compile(rf"{_NUMBER}(,{_NUMBER})*$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -645,7 +640,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(rf"{_NUMBER}(,{_NUMBER})*$")
+        self._negative_number_matcher = _NUMBER_LIST
 
     def error(self, message):
         raise ConstructionError(f"{self.prog}: {message}")

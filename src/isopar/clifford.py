@@ -9,7 +9,7 @@ with multiplicities (3, 4r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ J_RIGHT = "right-mult-i"
 J_LEFT = "left-mult-i"
 
 
-@dataclass(frozen=True)
-class CliffordSystem:
+class CliffordSystem(NamedTuple):
     """Generators (A_0..A_m) on R^dim with their construction tag."""
 
     m: int
@@ -53,8 +52,7 @@ class CliffordSystem:
     tag: str
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(NamedTuple):
     """Orthogonal J with J^2 = -I on R^dim, tagged by construction."""
 
     dim: int

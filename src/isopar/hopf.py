@@ -16,7 +16,7 @@ index among all samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,8 +179,7 @@ def hopf_blocks(ctx: HopfContext, frame: SpherePointFrame) -> SymmetricMatrix:
     return SymmetricMatrix(rest @ frame.shape.entries @ rest.T)
 
 
-@dataclass(frozen=True)
-class HopfDecomposition:
+class HopfDecomposition(NamedTuple):
     """Weights of Jx over the curvature eigenspaces: Jx = sum phi_i eps_i,
     for a frame, or one row per frame of a stack.
 
@@ -251,8 +250,7 @@ def witness_points(ctx: HopfContext):
     return None
 
 
-@dataclass(frozen=True)
-class AlphaSample:
+class AlphaSample(NamedTuple):
     """alpha_scan's columns, one entry per sample: index, level, alpha,
     Omega and the weight count l."""
 

@@ -17,7 +17,7 @@ lower ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def _poles(kappa, mu0):
     return (np.arctanh(omega / mu0) / omega,) if abs(mu0) > omega else ()
 
 
-@dataclass(frozen=True)
-class RiccatiFamily:
+class RiccatiFamily(NamedTuple):
     """Jacobi eigenvalues with initial principal curvatures and the open
     time interval (t_lower, t_upper) between the nearest blow-ups around 0."""
 

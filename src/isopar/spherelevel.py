@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -201,7 +200,6 @@ def _spherical_normal(P: IsoPolynomial, x, f, df):
     return grad_norm, grad_sph / np.asarray(grad_norm)[..., None]
 
 
-@dataclass(frozen=True)
 class SpherePointFrame:
     """Adapted data at a regular point x of the unit sphere, or a stack of
     frames at the rows of an (N, d) block (every field then gains the
@@ -217,24 +215,18 @@ class SpherePointFrame:
     and gated on first read.
     """
 
-    point: np.ndarray
-    f: float
-    df: np.ndarray
-    d2f: np.ndarray
-    grad_norm: float
-    nu: np.ndarray
-    tangent_basis: np.ndarray
-    P: IsoPolynomial
-    hessian_sph: SymmetricMatrix = field(init=False)
-    # hessian_sph before symmetrisation, which shape is read from
-    _hessian_raw: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        raw = self.hessian_in(
-            np.concatenate([self.tangent_basis, self.nu[..., None, :]], axis=-2)
+    def __init__(
+        self, point: np.ndarray, f: float, df: np.ndarray, d2f: np.ndarray,
+        grad_norm: float, nu: np.ndarray, tangent_basis: np.ndarray, P: IsoPolynomial,
+    ):
+        self.point, self.f, self.df, self.d2f = point, f, df, d2f
+        self.grad_norm, self.nu, self.P = grad_norm, nu, P
+        self.tangent_basis = tangent_basis
+        # hessian_sph before symmetrisation, which shape is read from
+        self._hessian_raw = self.hessian_in(
+            np.concatenate([tangent_basis, nu[..., None, :]], axis=-2)
         )
-        object.__setattr__(self, "_hessian_raw", raw)
-        object.__setattr__(self, "hessian_sph", SymmetricMatrix(raw))
+        self.hessian_sph = SymmetricMatrix(self._hessian_raw)
 
     @cached_property
     def shape(self) -> SymmetricMatrix:

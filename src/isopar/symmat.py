@@ -12,7 +12,6 @@ operators, trace recurrences) reduces to these primitives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ NODE_GAP_MIN = 1e-8
 IMAG_TOL = 1e-6  # largest |Im| of a companion root still read as real
 
 
-@dataclass(frozen=True)
 class SymmetricMatrix:
     """Dense real symmetric matrix, or a stack of them with shape
     (..., n, n); entries are symmetrized at construction.
@@ -36,10 +34,10 @@ class SymmetricMatrix:
     the first failing one as a sample (first_bad).
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries):
+        a = np.asarray(entries, dtype=float)
         if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         # One contiguous copy of a^T serves a - a^T and a^T + a (reading the
@@ -61,7 +59,7 @@ class SymmetricMatrix:
         sym += a
         sym /= 2.0
         sym.flags.writeable = False
-        object.__setattr__(self, "entries", sym)
+        self.entries = sym
 
     @property
     def order(self) -> int:

@@ -4,11 +4,17 @@ Every invocation goes through cli.main(argv) in process; stdout is parsed
 back as JSON, so these double as schema checks.
 """
 
+import contextlib
+import csv
+import gc
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -750,6 +756,57 @@ class TestRecurrences:
         assert first == second
 
 
+def csv_writer_bytes(header, rows):
+    """The side file as csv.writer writes it: the oracle write_csv matches."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{value:.17g}" for value in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+class TestSideFiles:
+    @pytest.mark.parametrize(
+        "argv,suffix",
+        [
+            (["alpha-scan", "--family", "ot", "--r", "1", "--J", "right-i",
+              "--samples", "6", "--level", "0", "--level", "0.3"], "alpha"),
+            (["riccati", "--kappa", "1,4", "--mult", "3",
+              "--mu0", "0.9,-0.3,0.25,1.1,-0.7,0.5,0.05", "--steps", "50"],
+             "trajectory"),
+            (["spectrum", "--family", "fkm", "--m", "2", "--r", "4",
+              "--samples", "5"], "recurrence"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_side_file_matches_csv_writer(self, capsys, tmp_path, argv, suffix):
+        prefix = str(tmp_path / "run")
+        code, _ = run(capsys, argv + ["--csv", prefix])
+        assert code == 0
+        args = cli.build_parser().parse_args(argv)
+        side, table = args.func(args, cli.SuiteReport(args.command, args.seed))
+        assert side == suffix
+        header, rows = table()
+        rows = [list(row) for row in rows]
+        data = (tmp_path / f"run-{suffix}.csv").read_bytes()
+        assert data == csv_writer_bytes(header, rows)
+        lines = data.split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == len(rows) + 2
+        assert lines[0].decode().split(",") == list(header)
+        # 17 significant digits read back bit for bit
+        assert [[float(v) for v in line.split(b",")] for line in lines[1:-1]] == rows
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[math.nan, -math.inf, -0.0], [1e-300, 0.1, 7]]],
+        ids=["empty", "special-values"],
+    )
+    def test_write_csv_matches_csv_writer(self, tmp_path, rows):
+        path = tmp_path / "table.csv"
+        cli.write_csv(path, ["t", "Q1", "rhobar0"], rows)
+        assert path.read_bytes() == csv_writer_bytes(["t", "Q1", "rhobar0"], rows)
+
+
 class TestReportContract:
     def test_identical_runs_are_byte_identical(self, capsys):
         argv = ["verify-cm", "--family", "cartan", "--m", "2",
@@ -938,6 +995,58 @@ def test_cli_import_loads_no_test_dependency(cold_cli_packages):
     # start-up of a command.
     optional = {"sympy", "mpmath", "scipy", "hypothesis"}
     assert not optional & cold_cli_packages
+
+
+def test_cli_import_loads_no_dataclasses_or_csv(cold_cli_packages):
+    # Records are NamedTuple or plain classes and write_csv joins the fields
+    # itself: neither module's import runs at the start of every command.
+    assert not {"dataclasses", "csv"} & cold_cli_packages
+
+
+def test_riccati_command_never_loads_numpy_random():
+    # riccati draws no samples, so a fresh command must not pay numpy.random's
+    # import; -X importtime lists every module the process loads.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "isopar.cli", "riccati",
+         "--kappa", "1,4", "--mult", "3", "--mu0", "0.9,-0.3,0.25,1.1,-0.7,0.5,0.05"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "isopar.riccati" in loaded
+    assert "numpy.random" not in loaded
+
+
+def test_main_keeps_no_per_call_state():
+    # Every call's report, arrays and parsed arguments are dropped when main
+    # returns. A report kept per call (about 1 KB) would add about 300 KB
+    # over the measured calls; numpy's caches settle during the warm-up.
+    commands = [
+        ["verify-hidden", "--family", "cartan", "--m", "1", "--samples", "4"],
+        ["riccati", "--kappa", "1,4", "--mult", "3",
+         "--mu0", "0.9,-0.3,0.25,1.1,-0.7,0.5,0.05", "--steps", "50"],
+        ["alpha-scan", "--family", "ot", "--r", "1", "--J", "right-i",
+         "--samples", "4"],
+    ]
+
+    def rounds(count):
+        for _ in range(count):
+            for argv in commands:
+                assert cli.main(argv) == 0
+
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        rounds(50)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rounds(100)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert grown < 100_000
 
 
 def readme_commands():
