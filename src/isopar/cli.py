@@ -51,10 +51,11 @@ from .polyfam import (
     point_norm,
 )
 from .riccati import (
-    check_gamma_recurrence,
+    BLOWUP_BAND,
     check_moment_chain,
-    check_power_sum_recurrence,
+    check_trace_recurrence,
     evolve_closed,
+    evolve_derivative,
     evolve_numeric,
     gamma_ij,
     moment_to_spectrum_evolution,
@@ -227,6 +228,16 @@ def _parse_list(text: str, flag: str, kind) -> list:
     return vals
 
 
+def _require_distinct(flag: str, values, label) -> None:
+    """Each value names its own report rows through label(value)."""
+    for i, value in enumerate(values):
+        if value in values[:i] or label(value) in map(label, values[:i]):
+            raise ConstructionError(
+                f"{flag} {value!r} repeats an earlier value or its row name "
+                f"({label(value)})"
+            )
+
+
 def _build_family(args, report: SuiteReport) -> IsoPolynomial:
     """The --family member; its signature goes into the report's params and
     --samples becomes the report's sample count."""
@@ -322,6 +333,7 @@ def cmd_verify_hidden(args, report):
         ks = [1, 2, 3, 4, 5]
     else:
         ks = [2, 3]
+    _require_distinct("--k", ks, str)
     minor_ks = [k for k in ks if is_cartan_base and 1 <= k <= 5]
     rho_ks = [k for k in ks if 2 <= k <= 4]
     rows = []  # (name, tolerance, ref) in report order
@@ -386,12 +398,13 @@ def cmd_alpha_scan(args, report):
             "no cubic (cartan) pairing admits the circle action; "
             "alpha-scan needs --family fkm or ot"
         )
+    levels = args.level if args.level else [0.0]
+    _require_distinct("--level", levels, "{:g}".format)
     fam = _build_family(args, report)
     jtag = J_CHOICES[args.J]
     J = build_complex_structure(jtag, fam.ambient_dim)
     ctx = HopfContext(fam, J)
 
-    levels = args.level if args.level else [0.0]
     report.params.update(J=jtag, levels=",".join(f"{lv:g}" for lv in levels))
 
     scan, summaries = alpha_scan(ctx, levels, args.samples, report.seed)
@@ -469,7 +482,8 @@ def cmd_riccati(args, report):
     hi = 0.85 * fam.t_upper if math.isfinite(fam.t_upper) else t1
     truncated = t0 < lo or t1 > hi
     t0c, t1c = max(t0, lo), min(t1, hi)
-    if t0c >= t1c:
+    # Poles closer together than two blow-up bands leave no time to check.
+    if t0c >= t1c or fam.t_upper - fam.t_lower <= 2.0 * BLOWUP_BAND:
         raise BlowUpError(
             f"requested range [{t0}, {t1}] lies outside the safe interval "
             f"({fam.t_lower:.6g}, {fam.t_upper:.6g})"
@@ -480,35 +494,34 @@ def cmd_riccati(args, report):
             f"(poles at {fam.t_lower:.6g}, {fam.t_upper:.6g})"
         )
 
+    # Every row reads this one flow table.
     grid = np.linspace(t0c, t1c, 9)
+    mu, dmu = evolve_closed(fam, grid), evolve_derivative(fam, grid)
+    kappas = np.array(fam.kappas)
     # Identity residuals grow with the moment magnitudes even at machine
     # precision, so the gated rows are scaled by the largest |Q_i| seen.
-    moments = [gamma_ij(fam, grid, i, 0) for i in range(1, 8)]
+    moments = [gamma_ij(mu, kappas, i, 0) for i in range(1, 8)]
     scale = float(np.max(np.abs(moments), initial=1.0))
-    closed = evolve_closed(fam, grid)
     report.add(
         "closed-vs-numeric",
-        np.abs(closed - evolve_numeric(fam, grid, args.steps)) / scale,
+        np.abs(mu - evolve_numeric(fam, grid, args.steps)) / scale,
         TOL_RICCATI_EVOLVE,
         "closed-branch evolution vs RK4, scaled by the moment magnitude",
     )
+    for j, name, ref in (
+        (0, "power-sum-recurrence", "the k-th curvature power sum"),
+        (1, "mixed-trace-recurrence", "tr(S^i R)"),
+    ):
+        report.add(
+            name,
+            check_trace_recurrence(mu, dmu, kappas, j) / scale,
+            TOL_RICCATI_LEMMA,
+            f"derivative of {ref} vs the inductive step, scaled by the "
+            "moment magnitude",
+        )
     report.add(
-        "power-sum-recurrence",
-        check_power_sum_recurrence(fam, grid) / scale,
-        TOL_RICCATI_LEMMA,
-        "derivative of the k-th curvature power sum vs the inductive step, "
-        "scaled by the moment magnitude",
-    )
-    report.add(
-        "mixed-trace-recurrence",
-        check_gamma_recurrence(fam, grid) / scale,
-        TOL_RICCATI_LEMMA,
-        "derivative of tr(S^i R) vs the inductive step, scaled by the "
-        "moment magnitude",
-    )
-    chain = check_moment_chain(fam, grid)
-    report.add(
-        "moment-chain", np.max(list(chain.values())) / scale, TOL_RICCATI_CHAIN,
+        "moment-chain", check_moment_chain(mu, dmu, kappas) / scale,
+        TOL_RICCATI_CHAIN,
         "Q4 and Q5 propagated from lower moments vs direct power sums, "
         "scaled by the moment magnitude",
     )
@@ -516,12 +529,12 @@ def cmd_riccati(args, report):
     # Recovery from power sums is well-posed only for pairwise distinct
     # values: a root of multiplicity m reacts to coefficient noise like
     # noise^(1/m), so tied branches are excluded rather than mis-scored.
-    distinct = len(set(zip(kappas, mu0)))
+    distinct = len(set(zip(fam.kappas, fam.mu0)))
     if n <= 8 and distinct == n:
-        recovered = [moment_to_spectrum_evolution(fam, float(t)) for t in grid]
+        recovered = [moment_to_spectrum_evolution(row) for row in mu]
         report.add(
             "moment-round-trip",
-            np.abs(recovered - np.sort(closed)[:, ::-1]),
+            np.abs(recovered - np.sort(mu)[:, ::-1]),
             TOL_RICCATI_ROUNDTRIP,
             "eigenvalues recovered from power sums vs the evolved multiset",
         )

@@ -10,9 +10,9 @@ C(0) = S'(0) = 1 and C'(0) = S(0) = 0:
 
 the derivative read off the constant Wronskian. Blow-ups are the zeros of
 C - S mu0. This module carries that closed form, an RK4 cross-check, the
-mixed trace moments Gamma_ij(t) = tr(S^i R^j), and the inductive
-identities that let higher power sums be propagated from derivatives of
-lower ones.
+mixed trace moments Gamma_ij = tr(S^i R^j), and the inductive identities
+that propagate higher power sums from derivatives of lower ones. Moments
+and identities read a flow table, mu and mu' evaluated once on a grid.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlowUpError, ConstructionError, IntegrationError
-from .symmat import max_abs, scalar_or_stack, spectrum_from_moments
+from .symmat import max_abs, spectrum_from_moments
 
 BLOWUP_BAND = 1e-3
 OVERFLOW_LIMIT = 1e12
@@ -50,9 +50,12 @@ def rank_one(kappa1: float, kappa2: float, m: int, n: int) -> tuple:
 def _poles(kappa, mu0):
     """Zeros of C - S mu0 nearest t = 0 on each side, where they exist."""
     if kappa > 0.0:
+        # The pole on mu0's side, formed directly: pi/2 - arctan(mu0 / omega)
+        # cancels once |mu0| >> omega. The other pole is pi / omega beyond.
         omega = np.sqrt(kappa)
-        c0 = (0.5 * np.pi - np.arctan(mu0 / omega)) / omega  # arccot into (0, pi)
-        return c0 - np.pi / omega, c0
+        near = np.arctan2(omega, abs(mu0)) / omega
+        far = near - np.pi / omega
+        return (far, near) if mu0 >= 0.0 else (-near, -far)
     if kappa == 0.0:
         return (1.0 / mu0,) if mu0 != 0.0 else ()
     omega = np.sqrt(-kappa)
@@ -216,111 +219,86 @@ def evolve_numeric(fam: RiccatiFamily, t, steps: int) -> np.ndarray:
     return mu
 
 
-def _gamma(mu, kappas, i: int, j: int):
-    """sum mu^i kappa^j over the last axis of a curvature table."""
+def gamma_ij(mu, kappas, i: int, j: int):
+    """Mixed trace moment Gamma_ij = tr(S^i R^j) = sum mu^i kappa^j over the
+    last axis of a curvature table (one time or a grid of times). Gamma_i0
+    is the power sum Q_i = tr S^i."""
     if i < 0 or j < 0:
         raise ValueError("moments need nonnegative exponents")
     return np.sum(mu**i * kappas**j, axis=-1)
 
 
 def _gamma_derivative(mu, dmu, kappas, i: int, j: int):
-    """i sum mu^(i-1) mu' kappa^j over the last axis."""
+    """d Gamma_ij / dt = i sum mu^(i-1) mu' kappa^j over the last axis."""
     if i < 1 or j < 0:
         raise ValueError("i must be >= 1 and j nonnegative")
     return i * np.sum(mu ** (i - 1) * dmu * kappas**j, axis=-1)
 
 
-def gamma_ij(fam: RiccatiFamily, t, i: int, j: int):
-    """Mixed trace moment Gamma_ij(t) = tr(S^i R^j) = sum mu^i kappa^j: a
-    float at one time, an array shaped like t at an array of times.
-    Gamma_i0 is the power sum Q_i = tr S^i."""
-    return scalar_or_stack(_gamma(evolve_closed(fam, t), np.array(fam.kappas), i, j))
-
-
-def _flow(fam: RiccatiFamily, t):
-    """mu, mu' and the kappas, each time evaluated once."""
-    return evolve_closed(fam, t), evolve_derivative(fam, t), np.array(fam.kappas)
-
-
-def check_power_sum_recurrence(fam: RiccatiFamily, t_samples) -> float:
-    """Max residual of Q_(i+1) = (1/i) dQ_i/dt - Gamma_(i-1,1), i = 1..6."""
-    mu, dmu, kappas = _flow(fam, t_samples)
+def check_trace_recurrence(mu, dmu, kappas, j: int) -> float:
+    """Max residual of Gamma_(i+1,j) = Gamma_ij'/i - Gamma_(i-1,j+1) over
+    i = 1..6 - j: along S' = S^2 + R with R parallel and diagonal, each of
+    the i cross terms tr(S^k R S^(i-1-k) R^j) in Gamma_ij' collapses to
+    Gamma_(i-1,j+1). j = 0 is the power-sum step."""
     return max_abs([
-        _gamma(mu, kappas, i + 1, 0)
-        - (_gamma_derivative(mu, dmu, kappas, i, 0) / i - _gamma(mu, kappas, i - 1, 1))
-        for i in range(1, 7)
+        gamma_ij(mu, kappas, i + 1, j)
+        - (_gamma_derivative(mu, dmu, kappas, i, j) / i - gamma_ij(mu, kappas, i - 1, j + 1))
+        for i in range(1, 7 - j)
     ])
 
 
-def check_gamma_recurrence(fam: RiccatiFamily, t_samples) -> float:
-    """Max residual of the Gamma_(i+1,1) recurrence for parallel diagonal R,
-    i = 1..5: Gamma_(i+1,1) = (1/i) (dGamma_i1/dt - sum_j tr(S^j R S^(i-1-j) R)),
-    where each of the i cross terms collapses to Gamma_(i-1,2)."""
-    mu, dmu, kappas = _flow(fam, t_samples)
-    return max_abs([
-        _gamma(mu, kappas, i + 1, 1)
-        - (_gamma_derivative(mu, dmu, kappas, i, 1) - i * _gamma(mu, kappas, i - 1, 2)) / i
-        for i in range(1, 6)
-    ])
-
-
-def _block_split(kappas, mu, i: int, j: int):
+def _block_split(mu, kappas, i: int, j: int):
     """Gamma_ij recovered without powering the spectrum directly.
 
     One distinct kappa value c: Gamma_ij = c^j Q_i. Two values: the traces
     of S^i over the two R-eigenspaces follow from the pair (Q_i, Gamma_i1)
     by a 2x2 solve, after which any kappa power can be attached."""
-    values = tuple(dict.fromkeys(kappas))
+    values = tuple(dict.fromkeys(kappas.tolist()))
     if len(values) > 2:
         raise ValueError(
             f"block split needs at most two distinct kappa values, got {len(values)}"
         )
-    kappas = np.array(kappas)
-    qi = _gamma(mu, kappas, i, 0)
+    qi = gamma_ij(mu, kappas, i, 0)
     if len(values) == 1:
         return values[0] ** j * qi
     k1, k2 = values
-    gi1 = _gamma(mu, kappas, i, 1)
+    gi1 = gamma_ij(mu, kappas, i, 1)
     tr_a = (gi1 - k2 * qi) / (k1 - k2)
     tr_c = (k1 * qi - gi1) / (k1 - k2)
     return k1**j * tr_a + k2**j * tr_c
 
 
-def check_moment_chain(fam: RiccatiFamily, t_samples) -> dict:
-    """Propagate Q_4 and Q_5 from derivatives of lower moments and compare
-    against the direct power sums; returns the max-abs two-path residual of
-    each stage by name.
+def check_moment_chain(mu, dmu, kappas) -> float:
+    """Propagate Q_4 and Q_5 from derivatives of lower moments and return
+    the max-abs two-path residual over every stage against the direct
+    power sums, read off the tables mu and mu'.
 
     Chain: Gamma_11 = Q_2'/2 - Q_3; Gamma_21 = Gamma_11' - tr R^2;
     Q_4 = Q_3'/3 - Gamma_21; Gamma_31 = Gamma_21'/2 - Gamma_12 with
     Gamma_12 recovered by the block split; Q_5 = Q_4'/4 - Gamma_31.
     """
-    mu, dmu, kappas = _flow(fam, t_samples)
-    gamma = lambda i, j: _gamma(mu, kappas, i, j)
+    gamma = lambda i, j: gamma_ij(mu, kappas, i, j)
     deriv = lambda i, j: _gamma_derivative(mu, dmu, kappas, i, j)
     tr_r2 = float(np.sum(kappas**2))
     g11_chain = 0.5 * deriv(2, 0) - gamma(3, 0)
     g21_chain = deriv(1, 1) - tr_r2
     q4_chain = deriv(3, 0) / 3.0 - g21_chain
-    g31_chain = 0.5 * deriv(2, 1) - _block_split(fam.kappas, mu, 1, 2)
+    g31_chain = 0.5 * deriv(2, 1) - _block_split(mu, kappas, 1, 2)
     q5_chain = deriv(4, 0) / 4.0 - g31_chain
-    return {
-        "gamma11": max_abs(g11_chain - gamma(1, 1)),
-        "gamma21": max_abs(g21_chain - gamma(2, 1)),
-        "q4": max_abs(q4_chain - gamma(4, 0)),
-        "gamma31": max_abs(g31_chain - gamma(3, 1)),
-        "q5": max_abs(q5_chain - gamma(5, 0)),
-    }
+    return max_abs([
+        g11_chain - gamma(1, 1),
+        g21_chain - gamma(2, 1),
+        q4_chain - gamma(4, 0),
+        g31_chain - gamma(3, 1),
+        q5_chain - gamma(5, 0),
+    ])
 
 
-def moment_to_spectrum_evolution(fam: RiccatiFamily, t: float) -> np.ndarray:
-    """Recover the evolved curvatures at one time, sorted descending, from
-    their first n power sums."""
-    n = len(fam.mu0)
-    mu, kappas = evolve_closed(fam, t), np.array(fam.kappas)
-    return spectrum_from_moments(
-        [float(_gamma(mu, kappas, i, 0)) for i in range(1, n + 1)], n
-    )
+def moment_to_spectrum_evolution(row) -> np.ndarray:
+    """Recover the curvatures of one row of a closed-form table, sorted
+    descending, from their first n power sums."""
+    n = len(row)
+    return spectrum_from_moments([float(np.sum(row**i)) for i in range(1, n + 1)], n)
 
 
 def trajectory_table(fam: RiccatiFamily, t0, t1, steps):
@@ -332,7 +310,7 @@ def trajectory_table(fam: RiccatiFamily, t0, t1, steps):
     times = times[_in_domain(fam, times)]
     mu = evolve_closed(fam, times)
     kappas = np.array(fam.kappas)
-    q = [_gamma(mu, kappas, k, 0) for k in range(1, 5)]
+    q = [gamma_ij(mu, kappas, k, 0) for k in range(1, 5)]
     header = (
         ["t"]
         + [f"mu{i}" for i in range(1, n + 1)]

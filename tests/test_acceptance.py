@@ -308,22 +308,22 @@ def test_criterion_10_curvature_evolution(capsys):
         lo = max(-0.5, fam.t_lower + 2 * rc.BLOWUP_BAND)
         hi = min(0.5, fam.t_upper - 2 * rc.BLOWUP_BAND)
         times = np.linspace(lo, hi, 9)
-        for t in times:
-            closed = rc.evolve_closed(fam, float(t))
-            numeric = rc.evolve_numeric(fam, float(t), steps=1000)
-            worst_flow = max(worst_flow, float(np.max(np.abs(closed - numeric))))
-            recovered = np.sort(rc.moment_to_spectrum_evolution(fam, float(t)))
+        mu, dmu = rc.evolve_closed(fam, times), rc.evolve_derivative(fam, times)
+        kappas = np.array(fam.kappas)
+        numeric = rc.evolve_numeric(fam, times, steps=1000)
+        worst_flow = max(worst_flow, float(np.max(np.abs(mu - numeric))))
+        for row in mu:
+            recovered = np.sort(rc.moment_to_spectrum_evolution(row))
             worst_trip = max(
                 worst_trip,
-                float(np.max(np.abs(np.sort(closed) - recovered))),
+                float(np.max(np.abs(np.sort(row) - recovered))),
             )
         worst_lemma = max(
             worst_lemma,
-            rc.check_power_sum_recurrence(fam, times),
-            rc.check_gamma_recurrence(fam, times),
+            rc.check_trace_recurrence(mu, dmu, kappas, 0),
+            rc.check_trace_recurrence(mu, dmu, kappas, 1),
         )
-        chain = rc.check_moment_chain(fam, times)
-        worst_chain = max(worst_chain, np.max(list(chain.values())))
+        worst_chain = max(worst_chain, rc.check_moment_chain(mu, dmu, kappas))
     ok = (
         worst_flow < 1e-8
         and worst_lemma < 1e-9

@@ -525,9 +525,13 @@ class TestRiccati:
         assert "distinct" in doc["error"]["message"]
 
     def test_nan_in_a_later_gated_row_reaches_max_residual(self, capsys, monkeypatch):
-        # mixed-trace-recurrence is the third gated row; the builtin max
-        # kept the finite rows before it.
-        monkeypatch.setattr(cli, "check_gamma_recurrence", lambda fam, grid: np.nan)
+        # mixed-trace-recurrence (j = 1) is the third gated row; the builtin
+        # max kept the finite rows before it.
+        check = riccati.check_trace_recurrence
+        monkeypatch.setattr(
+            cli, "check_trace_recurrence",
+            lambda mu, dmu, kappas, j: np.nan if j == 1 else check(mu, dmu, kappas, j),
+        )
         code, doc = run_json(capsys, ["riccati", "--kappa", "1", "--mu0", "0.4,-0.2"])
         assert code == 1
         assert doc["max_residual"] == "nan"
@@ -553,22 +557,32 @@ class TestRiccati:
         assert doc["error"]["type"] == "ConstructionError"
         assert flag in doc["error"]["message"]
 
+    def test_poles_closer_than_the_band_leave_no_range(self, capsys):
+        # The poles sit at +-pi/2e150, so no time clears the blow-up band;
+        # the closed form used to name an inverted interval (0.001, -0.001).
+        code, doc = run_json(capsys, ["riccati", "--kappa", "1e300", "--mu0", "0.1"])
+        assert code == 2
+        assert doc["error"]["type"] == "BlowUpError"
+        assert doc["error"]["message"] == (
+            "requested range [-0.5, 0.5] lies outside the safe interval "
+            "(-1.5708e-150, 1.5708e-150)"
+        )
+
     def test_closed_forms_evaluated_per_grid(self, capsys, monkeypatch):
-        # The README command: the closed table, one moment table per order,
-        # the three checks and one evaluation per round-trip time.
-        calls = []
-        original = riccati.evolve_closed
+        # The README command: every row reads one table of the closed form
+        # and one of its derivative, each evaluated on the 9-point grid.
+        calls = {"evolve_closed": [], "evolve_derivative": []}
+        for name, seen in calls.items():
+            def counted(fam, t, original=getattr(riccati, name), seen=seen):
+                seen.append(np.shape(t))
+                return original(fam, t)
 
-        def counted(fam, t):
-            calls.append(np.shape(t))
-            return original(fam, t)
-
-        monkeypatch.setattr(riccati, "evolve_closed", counted)
-        monkeypatch.setattr(cli, "evolve_closed", counted)
+            monkeypatch.setattr(riccati, name, counted)
+            monkeypatch.setattr(cli, name, counted)
         code, _ = run(capsys, ["riccati", "--kappa", "1,4", "--mult", "3", "--mu0",
                                "0.9,-0.3,0.25,1.1,-0.7,0.5,0.05"])
         assert code == 0
-        assert len(calls) <= 20
+        assert calls == {"evolve_closed": [(9,)], "evolve_derivative": [(9,)]}
 
     def test_trajectory_csv(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
@@ -808,6 +822,26 @@ class TestSideFiles:
 
 
 class TestReportContract:
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["verify-hidden", "--family", "ot", "--r", "1", "--k", "2,2"], "--k", "2"),
+            (["verify-hidden", "--family", "ot", "--r", "1", "--k", "3,03"], "--k", "3"),
+            (["alpha-scan", "--family", "fkm", "--m", "2", "--r", "4",
+              "--level", "0.1234567", "--level", "0.1234568"], "--level", "0.1234568"),
+            (["alpha-scan", "--family", "fkm", "--m", "2", "--r", "4",
+              "--level", "0", "--level", "-0.0"], "--level", "-0.0"),
+        ],
+        ids=["k-twice", "k-leading-zero", "level-same-name", "level-signed-zero"],
+    )
+    def test_repeated_row_name_is_usage_error(self, capsys, argv, flag, value):
+        # Each value names its own rows; a repeat used to emit two rows under
+        # one name, or (0 and -0.0) the same level under two names.
+        code, doc = run_json(capsys, argv + ["--samples", "3"])
+        assert code == 2
+        assert doc["error"]["type"] == "ConstructionError"
+        assert doc["error"]["message"].startswith(f"{flag} {value} ")
+
     def test_identical_runs_are_byte_identical(self, capsys):
         argv = ["verify-cm", "--family", "cartan", "--m", "2",
                 "--samples", "25", "--seed", "7"]
@@ -1063,6 +1097,8 @@ def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
     code, doc = run_json(capsys, argv)
     assert code == 0
     assert doc["pass"] is True
+    names = [row["name"] for row in doc["details"]]
+    assert len(set(names)) == len(names)
     if "--csv" in argv:
         prefix = argv[argv.index("--csv") + 1]
         written = [path.name for path in tmp_path.glob(f"{prefix}-*.csv")]
